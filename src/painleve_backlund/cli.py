@@ -23,7 +23,7 @@ from . import degeneration as dg
 from .numeric import NearPole, backlund_numeric_check, degeneration_numeric_check
 from .groups import generator
 from .report import CheckRecord, Report
-from .systems import UnsupportedSystem
+from .systems import UnsupportedSystem, system
 
 # Pinned pole-free configurations for the numeric checks, one per system
 # (params, (t0, q0, p0), t1).  Windows avoid the zeros of the time weight:
@@ -81,13 +81,11 @@ def cmd_verify_groups(args) -> int:
     labels = ck.GROUPS if args.system in (None, "all") else (args.system,)
     for label in labels:
         if label not in ck.GROUPS:
-            print(
-                f"error: no Backlund group for P_{label}"
+            return _input_error(
+                f"no Backlund group for P_{label}"
                 + (" (P_I has no nontrivial Backlund transformations)"
-                   if label == "I" else ""),
-                file=sys.stderr,
+                   if label == "I" else "")
             )
-            return 2
     report = _new_report({"systems": ",".join(labels), "jobs": args.jobs,
                           "seed": args.seed})
     ids: list[str] = []
@@ -99,10 +97,16 @@ def cmd_verify_groups(args) -> int:
 
 def cmd_degenerate(args) -> int:
     try:
-        arr = dg.arrow(args.source, args.target, order=args.order)
+        arr = dg.arrow(args.source, args.target)
     except dg.UnsupportedArrow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(str(exc))
+    if args.order is not None and args.order < arr.eps_power:
+        # below eps^k the S(eps)^k comparisons have no terms and pass vacuously
+        return _input_error(
+            f"--order {args.order} is below the eps power {arr.eps_power}"
+            f" of {arr.name}; its branch checks would compare nothing"
+        )
+    arr = dg.arrow(args.source, args.target, order=args.order)
     report = _new_report({
         "arrow": arr.name, "what": args.what, "order": arr.trunc,
         "jobs": args.jobs, "seed": args.seed,
@@ -110,6 +114,22 @@ def cmd_degenerate(args) -> int:
     ids = ck.arrow_check_ids(arr, args.what)
     _run_ids(report, ids, args.jobs)
     return _emit(report, args.format)
+
+
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _parse_params(text: str, label: str) -> tuple[float, ...]:
+    n = len(system(label).params)
+    try:
+        params = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        params = ()
+    if len(params) != n:
+        raise ValueError(f"--params expects {n} comma-separated numbers for P_{label}")
+    return params
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
@@ -124,11 +144,13 @@ def cmd_numeric_backlund(args) -> int:
     try:
         gen = generator(label, args.gen)
     except (UnsupportedSystem, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(str(exc))
     params, initial, t1 = NUMERIC_DEFAULTS[label]
     if args.params is not None:
-        params = tuple(float(x) for x in args.params.split(","))
+        try:
+            params = _parse_params(args.params, label)
+        except ValueError as exc:
+            return _input_error(str(exc))
     if args.initial is not None:
         initial = args.initial
     if args.t1 is not None:
@@ -166,11 +188,13 @@ def cmd_numeric_degeneration(args) -> int:
     try:
         arr = dg.arrow(args.arrow[0], args.arrow[1])
     except dg.UnsupportedArrow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(str(exc))
     params, initial, t1 = DEGEN_NUMERIC_DEFAULTS[(arr.source, arr.target)]
     if args.params is not None:
-        params = tuple(float(x) for x in args.params.split(","))
+        try:
+            params = _parse_params(args.params, arr.target)
+        except ValueError as exc:
+            return _input_error(str(exc))
     if args.initial is not None:
         initial = args.initial
     if args.t1 is not None:
@@ -269,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.jobs < 1:
+        return _input_error(f"--jobs must be at least 1, got {args.jobs}")
+    if not getattr(args, "h", 1.0) > 0:  # also refuses nan
+        return _input_error(f"--h must be a positive step, got {args.h}")
     return args.func(args)
 
 

@@ -21,10 +21,11 @@ declared sign times tau.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .exprio import parse_expr
 from .factored import substitute_reduced
-from .groups import Word, _word_on_symbol, generator
+from .groups import Word, _word_on_symbol, fundamental_relations, generator, verify_relation
 from .ratfn import RatFn, ratfn_equal
 from .series import (
     EpsSeries,
@@ -119,6 +120,14 @@ class LiftedGenerator:
     eps_series: EpsSeries
     var_parts: dict[Symbol, _SlicedAction] = field(default_factory=dict)
     exact_var: dict[Symbol, RatFn] | None = None
+    eps_powers: dict[int, EpsSeries] = field(default_factory=dict, compare=False, repr=False)
+
+    def eps_series_power(self, n: int) -> EpsSeries:
+        """eps_series**n, computed once per exponent and kept on the lift."""
+        pw = self.eps_powers.get(n)
+        if pw is None:
+            pw = self.eps_powers[n] = self.eps_series**n
+        return pw
 
     def action_series(self, s: Symbol, order: int | None = None) -> EpsSeries:
         """The realized action on a lifted field generator, as a series.
@@ -604,12 +613,8 @@ def target_constraint_reduce(arr: DegenerationArrow, f: RatFn) -> RatFn:
     return f.substitute({A[0]: rest})
 
 
-def equal_mod_target_constraint(arr: DegenerationArrow, f: RatFn, g: RatFn) -> bool:
-    return ratfn_equal(target_constraint_reduce(arr, f), target_constraint_reduce(arr, g))
-
-
-def verify_arrow_data(arr: DegenerationArrow) -> list[tuple[str, bool]]:
-    """Structural checks pinning the arrow data.
+def _arrow_data_items(arr: DegenerationArrow) -> list[tuple[str, partial, RatFn]]:
+    """Structural checks pinning the arrow data: (label, lazy lhs, expected).
 
     Round trips of the variable maps, symplecticity of the forward map in
     the (Q, P) bracket, constraint transport, and the parameter inverses.
@@ -618,52 +623,54 @@ def verify_arrow_data(arr: DegenerationArrow) -> list[tuple[str, bool]]:
     """
     from .systems import poisson_bracket
 
-    results = []
-    fwd = dict(arr.var_forward)
-    fwd.update(arr.param_map)
+    fwd = {**arr.var_forward, **arr.param_map}
     if arr.tau_pushforward is not None:
         fwd[tau] = arr.tau_pushforward
-
-    for X in (T_, Q_, P_):
-        back = substitute_reduced(arr.var_inverse[X], fwd)
-        results.append(
-            (f"inverse({X.name}) o forward = {X.name}",
-             ratfn_equal(back, RatFn.variable(X)))
-        )
-    inv = dict(arr.var_inverse)
-    inv.update(arr.param_inverse)
-    for v in (q_, p_):
-        back = substitute_reduced(arr.var_forward[v], inv)
-        results.append(
-            (f"forward({v.name}) o inverse = {v.name}",
-             ratfn_equal(back, RatFn.variable(v)))
-        )
-    t_back = substitute_reduced(arr.var_forward[t_], inv)
-    t_expected = parse_expr("-tau^2") if arr.tau_pushforward is not None else RatFn.variable(t_)
-    results.append(("forward(t) o inverse", ratfn_equal(t_back, t_expected)))
-
-    bracket = poisson_bracket(arr.var_forward[p_], arr.var_forward[q_], p=P_, q=Q_)
-    results.append(("forward map symplectic", ratfn_equal(bracket, RatFn.const(1))))
-
+    inv = {**arr.var_inverse, **arr.param_inverse}
+    items = [
+        (f"inverse({X.name}) o forward = {X.name}",
+         partial(substitute_reduced, arr.var_inverse[X], fwd), RatFn.variable(X))
+        for X in (T_, Q_, P_)
+    ] + [
+        (f"forward({v.name}) o inverse = {v.name}",
+         partial(substitute_reduced, arr.var_forward[v], inv), RatFn.variable(v))
+        for v in (q_, p_)
+    ]
+    t_back = partial(substitute_reduced, arr.var_forward[t_], inv)
+    t_expected = RatFn.variable(t_) if arr.tau_pushforward is None else -RatFn.variable(tau) ** 2
+    items.append(("forward(t) o inverse", t_back, t_expected))
+    items.append(("forward map symplectic", partial(
+        poisson_bracket, arr.var_forward[p_], arr.var_forward[q_], p=P_, q=Q_
+    ), RatFn.const(1)))
     src_constraint = system(arr.source).constraint_expr()
-    transported = src_constraint.substitute(arr.param_map)
     tgt = system(arr.target)
-    tgt_constraint = RatFn.const(0)
-    for c, s in zip(tgt.constraint_coeffs, A):
-        tgt_constraint = tgt_constraint + RatFn.variable(s) * RatFn.const(c)
-    results.append(("constraint transport", ratfn_equal(transported, tgt_constraint)))
+    tgt_constraint = _relabel_to_target(tgt.constraint_expr(), len(tgt.params))
+    items.append(("constraint transport",
+                  partial(src_constraint.substitute, arr.param_map), tgt_constraint))
+    items += [
+        (f"param inverse {i.name}", partial(f.substitute, arr.param_map), RatFn.variable(i))
+        for i, f in arr.param_inverse.items()
+    ]
+    items.append((f"eps^{arr.eps_power} in source",
+                  partial(arr.eps_in_source.substitute, arr.param_map),
+                  RatFn.variable(eps) ** arr.eps_power))
+    return items
 
-    for i, expr in arr.param_inverse.items():
-        back = expr.substitute(arr.param_map)
-        results.append(
-            (f"param inverse {i.name}", ratfn_equal(back, RatFn.variable(i)))
-        )
-    eps_back = arr.eps_in_source.substitute(arr.param_map)
-    results.append(
-        (f"eps^{arr.eps_power} in source",
-         ratfn_equal(eps_back, RatFn.variable(eps) ** arr.eps_power))
-    )
-    return results
+
+def arrow_data_labels(arr: DegenerationArrow) -> list[str]:
+    """Labels of the arrow-data checks, in order, without evaluating them."""
+    return [label for label, _, _ in _arrow_data_items(arr)]
+
+
+def verify_arrow_datum(arr: DegenerationArrow, i: int) -> tuple[str, bool]:
+    """The i-th arrow-data check: (label, verdict)."""
+    label, lhs, expected = _arrow_data_items(arr)[i]
+    return label, ratfn_equal(lhs(), expected)
+
+
+def verify_arrow_data(arr: DegenerationArrow) -> list[tuple[str, bool]]:
+    """Every arrow-data check: (label, verdict) in order."""
+    return [(label, ratfn_equal(lhs(), want)) for label, lhs, want in _arrow_data_items(arr)]
 
 
 # ----------------------------------------------------------------------
@@ -738,13 +745,17 @@ def verify_hamiltonian(arr: DegenerationArrow) -> list[tuple[str, bool]]:
     )
     residual = hamiltonian_limit_residual(arr)
     results.append(("limit generates the target flow", is_flow_trivial(residual)))
-    if arr.source == "V" and arr.target == "III":
-        # H_{V->III} is H_V in the new coordinates plus Q*P, exactly.
-        H = system("V").hamiltonian
-        lhs = degenerate_hamiltonian_exact(arr)
-        rhs = arr.pushforward(H) + parse_expr("Q*P")
-        results.append(("H_V + Q*P identity", ratfn_equal(lhs, rhs)))
+    if (arr.source, arr.target) == ("V", "III"):
+        results.append(("H_V + Q*P identity", verify_hamiltonian_shift(arr)))
     return results
+
+
+def verify_hamiltonian_shift(arr: DegenerationArrow) -> bool:
+    """H_{V->III} is H_V in the new coordinates plus Q*P, exactly (false elsewhere)."""
+    if (arr.source, arr.target) != ("V", "III"):
+        return False
+    rhs = arr.pushforward(system("V").hamiltonian) + parse_expr("Q*P")
+    return ratfn_equal(degenerate_hamiltonian_exact(arr), rhs)
 
 
 # ----------------------------------------------------------------------
@@ -782,33 +793,38 @@ def verify_param_actions(arr: DegenerationArrow) -> list[tuple[str, bool]]:
     return results
 
 
-def verify_eps_actions(arr: DegenerationArrow) -> list[tuple[str, bool]]:
-    """Branch consistency: S_i(eps)^k equals the exact action on eps^k.
+def verify_eps_action(arr: DegenerationArrow, name: str) -> list[tuple[str, bool]]:
+    """Branch consistency of S_name: S(eps)^k equals the exact action on eps^k.
 
     eps^k is rational in the source parameters (k = 1 for the birational
     arrows), so its image under the word is exact; the declared branch must
-    reproduce it when raised to the k-th power.
+    reproduce it when raised to the k-th power.  Where the arrow carries a
+    tau sign, S(tau)^2 is checked the same way.
     """
-    results = []
-    for name, word in arr.subgroup_words.items():
-        expr = arr.eps_in_source.substitute(
-            {v: _word_on_symbol(arr.source, word, v) for v in alpha}
+    word = arr.subgroup_words[name]
+    expr = arr.eps_in_source.substitute(
+        {v: _word_on_symbol(arr.source, word, v) for v in alpha}
+    )
+    exact_power = expr.substitute(arr.param_map)
+    declared = arr.eps_action[name] ** arr.eps_power
+    ok = series_equal(declared, EpsSeries.from_ratfn(exact_power, arr.trunc))
+    results = [(f"{name}(eps)^{arr.eps_power}", ok)]
+    if arr.tau_signs.get(name) is not None:
+        # tau branch: S(tau)^2 must be the exact image of tau^2 = -t.
+        t_img = arr.pushforward(_word_on_symbol(arr.source, word, t_))
+        tau_img = EpsSeries.from_ratfn(arr.tau_pushforward, arr.trunc)
+        signed = tau_img if arr.tau_signs[name] > 0 else -tau_img
+        ok_tau = series_equal(
+            signed * signed,
+            EpsSeries.from_ratfn(-t_img, arr.trunc),
         )
-        exact_power = expr.substitute(arr.param_map)
-        declared = arr.eps_action[name] ** arr.eps_power
-        ok = series_equal(declared, EpsSeries.from_ratfn(exact_power, arr.trunc))
-        results.append((f"{name}(eps)^{arr.eps_power}", ok))
-        if arr.tau_signs.get(name) is not None:
-            # tau branch: S(tau)^2 must be the exact image of tau^2 = -t.
-            t_img = arr.pushforward(_word_on_symbol(arr.source, word, t_))
-            tau_img = EpsSeries.from_ratfn(arr.tau_pushforward, arr.trunc)
-            signed = tau_img if arr.tau_signs[name] > 0 else -tau_img
-            ok_tau = series_equal(
-                signed * signed,
-                EpsSeries.from_ratfn(-t_img, arr.trunc),
-            )
-            results.append((f"{name}(tau)^2", ok_tau))
+        results.append((f"{name}(tau)^2", ok_tau))
     return results
+
+
+def verify_eps_actions(arr: DegenerationArrow) -> list[tuple[str, bool]]:
+    """verify_eps_action for every subgroup generator, in order."""
+    return [r for name in arr.subgroup_words for r in verify_eps_action(arr, name)]
 
 
 def verify_limits(arr: DegenerationArrow) -> list[tuple[str, bool]]:
@@ -826,38 +842,43 @@ def verify_limits(arr: DegenerationArrow) -> list[tuple[str, bool]]:
     return results
 
 
-def verify_subgroup_relations(arr: DegenerationArrow) -> list[tuple[str, bool, bool]]:
-    """Two checks per W_K fundamental relation.
+def verify_subgroup_relation(arr: DegenerationArrow, rel: str, side: str) -> bool:
+    """One W_K fundamental relation, on one side.
 
     (a) the relation word, expanded into W_J letters, is the identity on the
         source field; (b) the relation holds on the lifted parameter actions
         (A_i exactly, eps as a series under the declared branches).
     """
-    from .groups import fundamental_relations, verify_relation
+    s_word = dict(fundamental_relations(arr.target))[rel]
+    if side == "a":
+        expanded = tuple(
+            letter for s_name in s_word for letter in arr.subgroup_words["S" + s_name[1:]]
+        )
+        return verify_relation(arr.source, expanded)
+    if side != "b":
+        raise ValueError(f"relation side must be 'a' or 'b', not {side!r}")
+    # (b) compose the lifted parameter actions.
+    n_params = len(system(arr.target).params)
+    state_params = {A[i]: RatFn.variable(A[i]) for i in range(n_params)}
+    state_eps = EpsSeries.eps_power(1, arr.trunc)
+    for s_name in reversed(s_word):
+        lifted = lift_generator(arr, "S" + s_name[1:])
+        state_params = {
+            Ai: f.substitute(lifted.param_actions) for Ai, f in state_params.items()
+        }
+        state_eps = _act_on_eps_series(lifted, state_eps)
+    return all(
+        ratfn_equal(state_params[A[i]], RatFn.variable(A[i]))
+        for i in range(n_params)
+    ) and series_equal(state_eps, EpsSeries.eps_power(1, arr.trunc))
 
-    results = []
-    for rel_label, s_word in fundamental_relations(arr.target):
-        expanded: Word = ()
-        for s_name in s_word:
-            expanded = expanded + arr.subgroup_words["S" + s_name[1:]]
-        ok_a = verify_relation(arr.source, expanded)
 
-        # (b) compose the lifted parameter actions.
-        n_params = len(system(arr.target).params)
-        state_params = {A[i]: RatFn.variable(A[i]) for i in range(n_params)}
-        state_eps = EpsSeries.eps_power(1, arr.trunc)
-        for s_name in reversed(s_word):
-            lifted = lift_generator(arr, "S" + s_name[1:])
-            state_params = {
-                Ai: f.substitute(lifted.param_actions) for Ai, f in state_params.items()
-            }
-            state_eps = _act_on_eps_series(lifted, state_eps)
-        ok_b = all(
-            ratfn_equal(state_params[A[i]], RatFn.variable(A[i]))
-            for i in range(n_params)
-        ) and series_equal(state_eps, EpsSeries.eps_power(1, arr.trunc))
-        results.append((rel_label, ok_a, ok_b))
-    return results
+def verify_subgroup_relations(arr: DegenerationArrow) -> list[tuple[str, bool, bool]]:
+    """(label, side a, side b) for every W_K fundamental relation."""
+    return [
+        (rel, verify_subgroup_relation(arr, rel, "a"), verify_subgroup_relation(arr, rel, "b"))
+        for rel, _ in fundamental_relations(arr.target)
+    ]
 
 
 def _act_on_eps_series(lifted: LiftedGenerator, s: EpsSeries) -> EpsSeries:
@@ -865,5 +886,5 @@ def _act_on_eps_series(lifted: LiftedGenerator, s: EpsSeries) -> EpsSeries:
     out = EpsSeries.zero(s.trunc)
     for n, c in s.coeffs.items():
         moved = c.substitute(lifted.param_actions)
-        out = out + (lifted.eps_series**n).scale(moved)
+        out = out + lifted.eps_series_power(n).scale(moved)
     return out

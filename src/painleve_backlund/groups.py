@@ -235,8 +235,8 @@ def verify_symplectic(label: str, gen: BacklundGen) -> bool:
     return ratfn_equal(bracket, RatFn.const(1))
 
 
-def verify_commutes_with_derivation(label: str, gen: BacklundGen) -> bool:
-    """delta(g(x)) = g(delta(x)) on every field generator x.
+def derivation_mismatch(label: str, gen: BacklundGen) -> tuple[Symbol, RatFn, RatFn] | None:
+    """(x, delta(g(x)), g(delta(x))) for the first x where the two differ, or None.
 
     The identity holds on the constraint hyperplane (the Hamiltonians are
     normalized against the parameter sum), so both sides are compared after
@@ -246,8 +246,13 @@ def verify_commutes_with_derivation(label: str, gen: BacklundGen) -> bool:
         lhs = derivation_apply(label, gen.acts_on(s))
         rhs = gen(derivation_apply(label, RatFn.variable(s)))
         if not equal_mod_constraint(label, lhs, rhs):
-            return False
-    return True
+            return s, lhs, rhs
+    return None
+
+
+def verify_commutes_with_derivation(label: str, gen: BacklundGen) -> bool:
+    """delta(g(x)) = g(delta(x)) on every field generator x."""
+    return derivation_mismatch(label, gen) is None
 
 
 def verify_constraint_preserved(label: str, gen: BacklundGen) -> bool:

@@ -300,31 +300,6 @@ class Poly:
             out.setdefault(e, {})[key - (e << sh)] = c
         return {e: Poly._raw(terms) for e, terms in out.items()}
 
-    def substitute_linear(self, values: dict[Symbol, "Poly"]) -> "Poly":
-        """Substitute polynomials for symbols (polynomial result).
-
-        Unbound symbols map to themselves.  Used for parameter actions and
-        constraint transport, where everything stays polynomial.
-        """
-        result = Poly.zero()
-        powers: dict[tuple[int, int], Poly] = {}
-        for key, c in self.terms.items():
-            term = Poly.const(c)
-            rest = key
-            for s, value in values.items():
-                shft = SHIFTS[s.index]
-                e = (key >> shft) & MASK
-                if e:
-                    cache_key = (s.index, e)
-                    pw = powers.get(cache_key)
-                    if pw is None:
-                        pw = value**e
-                        powers[cache_key] = pw
-                    term = term * pw
-                    rest -= e << shft
-            result = result + term.mul_key(rest)
-        return result
-
     # ------------------------------------------------------------------
     # equality / hashing (canonical form makes structural == semantic)
 

@@ -120,3 +120,39 @@ def test_failure_sets_exit_code(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "witness" in out
+
+
+def assert_input_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_jobs_below_one_is_refused(capsys):
+    assert_input_error(capsys, "verify-groups", "--system", "II", "--jobs", "0")
+    assert_input_error(capsys, "degenerate", "V", "III", "--jobs", "-1")
+
+
+def test_order_below_eps_power_is_refused(capsys):
+    # a truncation below eps^6 holds no term of the S(eps)^6 comparisons of IV -> II
+    assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
+                       "--order", "-20", "--jobs", "1")
+    assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
+                       "--order", "5", "--jobs", "1")
+
+
+def test_nonpositive_step_is_refused(capsys):
+    assert_input_error(capsys, "numeric", "backlund", "--system", "II",
+                       "--gen", "s1", "--h", "0")
+    assert_input_error(capsys, "numeric", "degeneration", "--arrow", "V", "III",
+                       "--h=-1e-3")
+
+
+def test_wrong_params_count_is_refused(capsys):
+    assert_input_error(capsys, "numeric", "backlund", "--system", "II",
+                       "--gen", "s1", "--params", "0.1,0.2,0.3")
+    assert_input_error(capsys, "numeric", "degeneration", "--arrow", "V", "III",
+                       "--params", "0.1,0.2")

@@ -6,6 +6,7 @@ from painleve_backlund.degeneration import (
     ARROW_KEYS,
     UnsupportedArrow,
     arrow,
+    arrow_data_labels,
     arrows,
     degenerate_hamiltonian,
     degenerate_hamiltonian_exact,
@@ -19,10 +20,13 @@ from painleve_backlund.degeneration import (
     target_table_action,
     transformed_system_factor,
     verify_arrow_data,
+    verify_arrow_datum,
+    verify_eps_action,
     verify_eps_actions,
     verify_hamiltonian,
     verify_limits,
     verify_param_actions,
+    verify_subgroup_relation,
     verify_subgroup_relations,
 )
 from painleve_backlund.exprio import parse_expr as P
@@ -425,6 +429,35 @@ def test_subgroup_relations_all_arrows():
         for rel_label, ok_a, ok_b in verify_subgroup_relations(arrow(J, K)):
             assert ok_a, (J, K, rel_label, "source-field check")
             assert ok_b, (J, K, rel_label, "lifted parameter check")
+
+
+def test_per_id_functions_agree_with_the_list_apis():
+    for J, K in ALL:
+        a = arrow(J, K)
+        data = verify_arrow_data(a)
+        assert arrow_data_labels(a) == [label for label, _ in data], (J, K)
+        assert [verify_arrow_datum(a, i) for i in range(len(data))] == data, (J, K)
+        per_name = [r for name in a.subgroup_words for r in verify_eps_action(a, name)]
+        assert per_name == verify_eps_actions(a), (J, K)
+        relations = verify_subgroup_relations(a)
+        per_side = [
+            (rel, verify_subgroup_relation(a, rel, "a"), verify_subgroup_relation(a, rel, "b"))
+            for rel, _, _ in relations
+        ]
+        assert per_side == relations, (J, K)
+
+
+def test_lifted_generator_caches_eps_series_powers():
+    for J, K in ALL:
+        a = arrow(J, K)
+        for name in a.subgroup_words:
+            lifted = lift_generator(a, name)
+            for n in range(-2, a.trunc + 1):
+                cached = lifted.eps_series_power(n)
+                direct = lifted.eps_series**n
+                assert cached.trunc == direct.trunc, (J, K, name, n)
+                assert series_equal(cached, direct), (J, K, name, n)
+                assert lifted.eps_series_power(n) is cached, (J, K, name, n)
 
 
 def test_transformed_system_factor():

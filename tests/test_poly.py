@@ -75,12 +75,6 @@ def test_eval_exact():
     assert value == QSqrt2(Fraction(4, 3) - Fraction(1, 2))
 
 
-def test_substitute_linear():
-    f = P("q^2 + t")
-    image = f.substitute_linear({q_: P("q + 1")})
-    assert image == P("q^2 + 2*q + 1 + t")
-
-
 def test_canonical_form_is_unique(seed):
     rng = rng_for(seed, "poly-canonical")
     syms = (t_, q_)
