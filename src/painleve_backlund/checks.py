@@ -1,19 +1,21 @@
 """Catalog of verification checks, addressable by string id.
 
 Check ids make the work distributable: the CLI builds an id list, a worker
-pool maps run_check over it (ids and result dicts are picklable), and the
-report assembles the records in catalog order.  Ids look like
+pool maps run_check over it (ids, the eps truncation order and the returned
+CheckRecords are picklable), and the report takes the records in catalog
+order.  Ids look like
 
     groups/VI/relation/(s0 s2)^3
     groups/II/gen/s0/symplectic
     degen/VI-V/limit/S0/Q
     degen/IV-II/ham/limit
 
-Each id computes only its own verdict: the runner calls the one library
-function for that id (one relation on one side, one generator's eps branch,
-one arrow-data item), never a whole list it then filters.  Every failure
-record carries a printable witness; a crash becomes an error record naming
-the exception class and the innermost file:line.
+Each id computes only its own verdict, and this module is the only code
+that turns a degeneration id into one: the runner calls the library
+functions for that id (one relation on one side, one generator's eps branch,
+one arrow-data item, one table entry), never a whole list it then filters.
+Every failure record carries a printable witness; a crash becomes an error
+record naming the exception class and the innermost file:line.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import degeneration as dg
 from . import groups as gr
 from .exprio import print_expr, print_series
 from .ratfn import RatFn, ratfn_equal
+from .report import CheckRecord
 from .series import DivergesAtZero
 from .symbols import A, P_, Q_, T_, p_, q_
 from .systems import poisson_bracket, system
@@ -70,14 +73,18 @@ def arrow_check_ids(arr: dg.DegenerationArrow, what: str = "all") -> list[str]:
 # ----------------------------------------------------------------------
 # runner
 
-def run_check(check_id: str) -> dict:
-    """Execute one catalog check; returns a record dict for the report."""
+def run_check(check_id: str, order: int | None = None) -> CheckRecord:
+    """Execute one catalog check and return its report record.
+
+    order overrides the eps truncation of a degeneration arrow (None keeps
+    the arrow's default); group checks ignore it.
+    """
     parts = check_id.split("/")
     try:
         if parts[0] == "groups":
             return _run_group_check(check_id, parts)
         if parts[0] == "degen":
-            return _run_degen_check(check_id, parts)
+            return _run_degen_check(check_id, parts, order)
     except Exception as exc:  # surface, never crash the pool
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
@@ -88,18 +95,10 @@ def run_check(check_id: str) -> dict:
     return _record(check_id, "unknown", "", "fail", detail="unknown check id")
 
 
-def _record(check_id, kind, subject, outcome, detail="", witness=None) -> dict:
+def _record(check_id, kind, subject, outcome, detail="", witness=None) -> CheckRecord:
     if outcome == "fail" and witness is None:
         witness = detail or subject or check_id
-    return {
-        "id": check_id,
-        "kind": kind,
-        "subject": subject,
-        "source": _source_of(check_id),
-        "outcome": outcome,
-        "detail": detail,
-        "witness": witness,
-    }
+    return CheckRecord(check_id, kind, subject, _source_of(check_id), outcome, detail, witness)
 
 
 def _source_of(check_id: str) -> str:
@@ -111,7 +110,7 @@ def _source_of(check_id: str) -> str:
     return "internal"
 
 
-def _run_group_check(check_id: str, parts: list[str]) -> dict:
+def _run_group_check(check_id: str, parts: list[str]) -> CheckRecord:
     label = parts[1]
     if parts[2] == "relation":
         rel = parts[3]
@@ -167,13 +166,9 @@ def _run_group_check(check_id: str, parts: list[str]) -> dict:
     raise ValueError(f"bad group check {check_id}")
 
 
-def _arrow_of(key: str) -> dg.DegenerationArrow:
-    src, tgt = key.split("-")
-    return dg.arrow(src, tgt)
-
-
-def _run_degen_check(check_id: str, parts: list[str]) -> dict:
-    arr = _arrow_of(parts[1])
+def _run_degen_check(check_id: str, parts: list[str], order: int | None) -> CheckRecord:
+    src, tgt = parts[1].split("-")
+    arr = dg.arrow(src, tgt, order=order)
     kind = parts[2]
     if kind == "data":
         label, ok = dg.verify_arrow_datum(arr, int(parts[3]))
@@ -208,6 +203,7 @@ def _run_degen_check(check_id: str, parts: list[str]) -> dict:
     if kind == "limit":
         name, x_name = parts[3], parts[4]
         X = {"T": T_, "Q": Q_, "P": P_}[x_name]
+        # limits match the table in free parameters; only the ham ids need the constraint
         expected = dg.target_table_action(arr, name, X)
         try:
             got = dg.limit_action(arr, name, X)
@@ -251,7 +247,7 @@ def _run_degen_check(check_id: str, parts: list[str]) -> dict:
     raise ValueError(f"bad degeneration check {check_id}")
 
 
-def _run_ham_check(check_id: str, arr: dg.DegenerationArrow, which: str) -> dict:
+def _run_ham_check(check_id: str, arr: dg.DegenerationArrow, which: str) -> CheckRecord:
     if which == "gauge":
         gauge = dg.hamiltonian_gauge_terms(arr)
         ok = all(dg.is_flow_trivial(c) for c in gauge.values())

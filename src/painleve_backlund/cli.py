@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import __version__
 from . import checks as ck
@@ -49,24 +50,15 @@ def _new_report(config: dict) -> Report:
     return Report("painleve-backlund", __version__, config)
 
 
-def _run_ids(report: Report, ids: list[str], jobs: int) -> None:
+def _run_ids(report: Report, ids: list[str], jobs: int, order: int | None = None) -> None:
+    run = partial(ck.run_check, order=order)  # a partial of a module function pickles
     if jobs > 1 and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(ck.run_check, ids))
+            records = list(pool.map(run, ids))
     else:
-        records = [ck.run_check(check_id) for check_id in ids]
+        records = [run(check_id) for check_id in ids]
     for rec in records:
-        report.add(
-            CheckRecord(
-                check_id=rec["id"],
-                kind=rec["kind"],
-                subject=rec["subject"],
-                source=rec["source"],
-                outcome=rec["outcome"],
-                detail=rec.get("detail", ""),
-                witness=rec.get("witness"),
-            )
-        )
+        report.add(rec)
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -112,7 +104,7 @@ def cmd_degenerate(args) -> int:
         "jobs": args.jobs, "seed": args.seed,
     })
     ids = ck.arrow_check_ids(arr, args.what)
-    _run_ids(report, ids, args.jobs)
+    _run_ids(report, ids, args.jobs, args.order)
     return _emit(report, args.format)
 
 

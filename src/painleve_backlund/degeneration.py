@@ -21,7 +21,7 @@ declared sign times tau.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .exprio import parse_expr
 from .factored import substitute_reduced
@@ -57,30 +57,25 @@ class DegenerationArrow:
     eps_action: dict[str, EpsSeries]
     eps_power: int
     eps_in_source: RatFn
-    eps_source_root: RatFn | None
     tau_pushforward: RatFn | None
     tau_signs: dict[str, int]
     deriv_rescale: RatFn
     ham_shift: RatFn
     trunc: int
-    delta_commutes: bool
 
     @property
     def name(self) -> str:
         return f"{self.source}->{self.target}"
 
     def is_birational(self) -> bool:
-        return self.eps_source_root is not None
+        """eps itself (not only eps^k) is rational in the source parameters."""
+        return self.eps_power == 1
 
     def pushforward(self, f: RatFn) -> RatFn:
         """Rewrite a source-coordinate expression in target coordinates."""
         bindings = dict(self.param_map)
         bindings.update(self.var_forward)
         return substitute_reduced(f, bindings)
-
-    def target_symbols(self) -> tuple[Symbol, ...]:
-        n = len(system(self.target).params)
-        return A[:n] + (T_, Q_, P_)
 
 
 @dataclass
@@ -226,13 +221,11 @@ def _build_arrows(
         },
         eps_power=1,
         eps_in_source=P("1/alpha0"),
-        eps_source_root=P("1/alpha0"),
         tau_pushforward=None,
         tau_signs={},
         deriv_rescale=P("1 + eps*T"),
         ham_shift=P("0"),
         trunc=trunc,
-        delta_commutes=True,
     )
 
     # ---- V -> IV ------------------------------------------------------
@@ -274,13 +267,11 @@ def _build_arrows(
         },
         eps_power=2,
         eps_in_source=P("-1/(2*alpha3)"),
-        eps_source_root=None,
         tau_pushforward=None,
         tau_signs={},
         deriv_rescale=P("(1 + 2*eps*T)/(2*eps)"),
         ham_shift=P("0"),
         trunc=trunc,
-        delta_commutes=False,
     )
 
     # ---- V -> III -----------------------------------------------------
@@ -322,13 +313,11 @@ def _build_arrows(
         },
         eps_power=1,
         eps_in_source=P("1/alpha1"),
-        eps_source_root=P("1/alpha1"),
         tau_pushforward=None,
         tau_signs={},
         deriv_rescale=P("1"),
         ham_shift=P("Q*P"),
         trunc=trunc,
-        delta_commutes=True,
     )
 
     # ---- IV -> II -----------------------------------------------------
@@ -366,13 +355,11 @@ def _build_arrows(
         },
         eps_power=6,
         eps_in_source=P("1/(4*alpha1)"),
-        eps_source_root=None,
         tau_pushforward=None,
         tau_signs={},
         deriv_rescale=P("sqrt2/eps"),
         ham_shift=P("0"),
         trunc=trunc,
-        delta_commutes=False,
     )
 
     # ---- III -> II ----------------------------------------------------
@@ -412,13 +399,11 @@ def _build_arrows(
         },
         eps_power=3,
         eps_in_source=P("1/(4*alpha1)"),
-        eps_source_root=None,
         tau_pushforward=P("(1 + eps^2*T)/(4*eps^3)"),
         tau_signs={"S0": -1, "S1": 1},
         deriv_rescale=P("(1 + eps^2*T)/(2*eps^2)"),
         ham_shift=P("0"),
         trunc=trunc,
-        delta_commutes=False,
     )
 
     return arrows
@@ -427,11 +412,17 @@ def _build_arrows(
 _ARROWS = _build_arrows()
 
 
+@cache
+def _arrow_at(key: tuple[str, str], order: int) -> DegenerationArrow:
+    # every check id of a run asks for its arrow again: build each order once
+    return _build_arrows({key: order})[key]
+
+
 def arrow(source: str, target: str, order: int | None = None) -> DegenerationArrow:
     key = (source, target)
     if key in _ARROWS:
         if order is not None and order != _ARROWS[key].trunc:
-            return _build_arrows({key: order})[key]
+            return _arrow_at(key, order)
         return _ARROWS[key]
     if key == ("II", "I"):
         raise UnsupportedArrow(
@@ -480,8 +471,8 @@ def lift_word(
         param_actions[A[i]] = expr.substitute(arr.param_map)
 
     if eps_series is None:
-        if arr.eps_source_root is not None:
-            expr = arr.eps_source_root.substitute(
+        if arr.is_birational():
+            expr = arr.eps_in_source.substitute(
                 {v: _word_on_symbol(J, word, v) for v in alpha}
             )
             eps_series = EpsSeries.from_ratfn(expr.substitute(arr.param_map), arr.trunc)
@@ -503,7 +494,7 @@ def lift_word(
 
     if arr.is_birational():
         # eps is rational in the source parameters: the whole lift is exact.
-        eps_exact = arr.eps_source_root.substitute(
+        eps_exact = arr.eps_in_source.substitute(
             {v: _word_on_symbol(J, word, v) for v in alpha}
         ).substitute(arr.param_map)
         bindings = dict(pushed)
@@ -736,20 +727,6 @@ def hamiltonian_limit_residual(arr: DegenerationArrow) -> RatFn:
     return target_constraint_reduce(arr, hamiltonian_limit(arr) - HK)
 
 
-def verify_hamiltonian(arr: DegenerationArrow) -> list[tuple[str, bool]]:
-    """Degenerated-Hamiltonian checks for one arrow."""
-    results = []
-    gauge = hamiltonian_gauge_terms(arr)
-    results.append(
-        ("gauge terms flow-trivial", all(is_flow_trivial(c) for c in gauge.values()))
-    )
-    residual = hamiltonian_limit_residual(arr)
-    results.append(("limit generates the target flow", is_flow_trivial(residual)))
-    if (arr.source, arr.target) == ("V", "III"):
-        results.append(("H_V + Q*P identity", verify_hamiltonian_shift(arr)))
-    return results
-
-
 def verify_hamiltonian_shift(arr: DegenerationArrow) -> bool:
     """H_{V->III} is H_V in the new coordinates plus Q*P, exactly (false elsewhere)."""
     if (arr.source, arr.target) != ("V", "III"):
@@ -764,12 +741,10 @@ def verify_hamiltonian_shift(arr: DegenerationArrow) -> bool:
 def transformed_system_factor(arr: DegenerationArrow, name: str) -> EpsSeries:
     """The correction factor (1/r) * w(r) relating delta_K to w's transform.
 
-    r is the derivation rescale (delta_J = r * delta_K).  When delta_K
+    r is the derivation rescale (delta_J = r * delta_K).  Where delta_K
     commutes with the lifted subgroup the factor is 1 and the transformed
     system keeps the plain Hamiltonian form.
     """
-    if arr.delta_commutes:
-        return EpsSeries.const(1, arr.trunc)
     lifted = lift_generator(arr, name)
     args = {eps: lifted.eps_series, T_: lifted.action_series(T_)}
     w_r = ratfn_at_series(arr.deriv_rescale, args, arr.trunc)
@@ -779,19 +754,6 @@ def transformed_system_factor(arr: DegenerationArrow, name: str) -> EpsSeries:
 
 # ----------------------------------------------------------------------
 # structured verification (consumed by the CLI reports and the tests)
-
-def verify_param_actions(arr: DegenerationArrow) -> list[tuple[str, bool]]:
-    """Lifted S_i actions on the A_i must match the W_K parameter table."""
-    results = []
-    n_params = len(system(arr.target).params)
-    for name in arr.subgroup_words:
-        lifted = lift_generator(arr, name)
-        for i in range(n_params):
-            expected = target_table_action(arr, name, A[i])
-            got = lifted.param_actions[A[i]]
-            results.append((f"{name}({A[i].name})", ratfn_equal(got, expected)))
-    return results
-
 
 def verify_eps_action(arr: DegenerationArrow, name: str) -> list[tuple[str, bool]]:
     """Branch consistency of S_name: S(eps)^k equals the exact action on eps^k.
@@ -825,21 +787,6 @@ def verify_eps_action(arr: DegenerationArrow, name: str) -> list[tuple[str, bool
 def verify_eps_actions(arr: DegenerationArrow) -> list[tuple[str, bool]]:
     """verify_eps_action for every subgroup generator, in order."""
     return [r for name in arr.subgroup_words for r in verify_eps_action(arr, name)]
-
-
-def verify_limits(arr: DegenerationArrow) -> list[tuple[str, bool]]:
-    """Convergence checks: lifted actions on T, Q, P tend to the W_K table.
-
-    The limits agree with the table entries in free parameters; only the
-    Hamiltonian-level identities need the constraint.
-    """
-    results = []
-    for name in arr.subgroup_words:
-        for X in (T_, Q_, P_):
-            expected = target_table_action(arr, name, X)
-            got = limit_action(arr, name, X)
-            results.append((f"{name}({X.name})", ratfn_equal(got, expected)))
-    return results
 
 
 def verify_subgroup_relation(arr: DegenerationArrow, rel: str, side: str) -> bool:

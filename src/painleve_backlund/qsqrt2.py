@@ -34,9 +34,6 @@ class QSqrt2:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 

@@ -63,26 +63,6 @@ def var_key(s: Symbol) -> int:
     return 1 << SHIFTS[s.index]
 
 
-def exponent(key: int, s: Symbol) -> int:
-    """Exponent of symbol s in a packed monomial key."""
-    return (key >> SHIFTS[s.index]) & MASK
-
-
-def unpack(key: int) -> tuple[int, ...]:
-    """Full exponent tuple of a packed monomial key, in registry order."""
-    return tuple((key >> sh) & MASK for sh in SHIFTS)
-
-
-def pack(exps) -> int:
-    """Packed key from an exponent tuple in registry order."""
-    key = 0
-    for e, sh in zip(exps, SHIFTS):
-        if e < 0 or e > MASK:
-            raise ValueError(f"exponent {e} out of packable range")
-        key |= e << sh
-    return key
-
-
 # Named handles for the symbols the formulas use all the time.
 alpha = tuple(_BY_NAME[f"alpha{i}"] for i in range(5))
 A = tuple(_BY_NAME[f"A{i}"] for i in range(4))

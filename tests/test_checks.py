@@ -2,15 +2,16 @@
 
 from painleve_backlund import checks as ck
 from painleve_backlund import degeneration as dg
+from painleve_backlund.exprio import parse_expr, print_expr
 from painleve_backlund.groups import fundamental_relations
 
 
 def test_error_record_names_the_exception_and_its_location():
     rec = ck.run_check("degen/VI-V/relation/bogus/a")
-    assert rec["kind"] == "error"
-    assert rec["outcome"] == "fail"
-    assert rec["detail"].startswith("KeyError at ")
-    assert ".py:" in rec["detail"]
+    assert rec.kind == "error"
+    assert rec.outcome == "fail"
+    assert rec.detail.startswith("KeyError at ")
+    assert ".py:" in rec.detail
 
 
 def test_relation_ids_compute_only_their_own_relation(monkeypatch):
@@ -28,7 +29,23 @@ def test_relation_ids_compute_only_their_own_relation(monkeypatch):
     ids = [i for i in ck.arrow_check_ids(arr, "relations") if "/relation/" in i]
     assert len(ids) == 20
     records = [ck.run_check(i) for i in ids]
-    assert [r["outcome"] for r in records] == ["pass"] * 20
+    assert [r.outcome for r in records] == ["pass"] * 20
     letters = sum(len(word) for _, word in fundamental_relations("V"))
     assert letters == 40
     assert len(calls) == letters
+
+
+def test_symbolic_records_fail_with_a_witness(monkeypatch):
+    # a wrong W_V table entry must fail both the parameter and the limit id
+    monkeypatch.setattr(dg, "target_table_action", lambda arr, name, X: parse_expr("x"))
+    param = ck.run_check("degen/VI-V/param/S0/A0")
+    assert (param.outcome, param.detail, param.witness) == ("fail", "= -A0", "expected x")
+    limit = ck.run_check("degen/VI-V/limit/S0/Q")
+    assert limit.outcome == "fail"
+    assert limit.witness == "limit differs from x"
+    # a residual that is not flow-trivial must fail the Hamiltonian limit id
+    monkeypatch.setattr(dg, "is_flow_trivial", lambda f: False)
+    ham = ck.run_check("degen/VI-V/ham/limit")
+    residual = dg.hamiltonian_limit_residual(dg.arrow("VI", "V"))
+    assert ham.outcome == "fail"
+    assert ham.witness == print_expr(residual) and not residual.is_zero()

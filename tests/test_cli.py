@@ -144,6 +144,24 @@ def test_order_below_eps_power_is_refused(capsys):
                        "--order", "5", "--jobs", "1")
 
 
+def test_order_reaches_the_checks(capsys, monkeypatch):
+    from painleve_backlund import degeneration as dg
+
+    truncs = []
+    original = dg.lift_generator
+
+    def spy(arr, name):
+        truncs.append(arr.trunc)
+        return original(arr, name)
+
+    monkeypatch.setattr(dg, "lift_generator", spy)
+    code, out = run_cli(capsys, "degenerate", "V", "III", "--what", "params",
+                        "--order", "10", "--jobs", "1")
+    assert code == 0
+    assert "order=10" in out
+    assert truncs and set(truncs) == {10}
+
+
 def test_nonpositive_step_is_refused(capsys):
     assert_input_error(capsys, "numeric", "backlund", "--system", "II",
                        "--gen", "s1", "--h", "0")

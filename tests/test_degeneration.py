@@ -23,12 +23,10 @@ from painleve_backlund.degeneration import (
     verify_arrow_datum,
     verify_eps_action,
     verify_eps_actions,
-    verify_hamiltonian,
-    verify_limits,
-    verify_param_actions,
     verify_subgroup_relation,
     verify_subgroup_relations,
 )
+from painleve_backlund.checks import arrow_check_ids, run_check
 from painleve_backlund.exprio import parse_expr as P
 from painleve_backlund.ratfn import ratfn_equal
 from painleve_backlund.series import (
@@ -45,6 +43,19 @@ ALL = tuple(ARROW_KEYS)
 
 def S(text, trunc):
     return EpsSeries.from_ratfn(P(text), trunc)
+
+
+def catalog_verdicts(what, kind):
+    """Catalog records of one check kind on all five arrows: (ids run, failures)."""
+    ran, bad = [], []
+    for J, K in ALL:
+        for check_id in arrow_check_ids(arrow(J, K), what):
+            if check_id.split("/")[2] == kind:
+                rec = run_check(check_id)
+                ran.append(check_id)
+                if rec.outcome != "pass":
+                    bad.append((check_id, rec.detail, rec.witness))
+    return ran, bad
 
 
 # ----------------------------------------------------------------------
@@ -120,10 +131,10 @@ def test_truncation_orders():
 # lifted parameter actions
 
 def test_param_actions_match_target_tables():
-    for J, K in ALL:
-        results = verify_param_actions(arrow(J, K))
-        bad = [label for label, ok in results if not ok]
-        assert not bad, (J, K, bad)
+    # one id per (subgroup generator, target parameter): 16 + 9 + 9 + 4 + 4
+    ran, bad = catalog_verdicts("params", "param")
+    assert len(ran) == 42
+    assert not bad, bad
 
 
 def test_lifted_param_examples():
@@ -333,10 +344,10 @@ def test_series_pipeline_matches_branch_algebra_V_to_IV():
 # convergence: eps -> 0 limits
 
 def test_all_limits_match_target_tables():
-    for J, K in ALL:
-        results = verify_limits(arrow(J, K))
-        bad = [label for label, ok in results if not ok]
-        assert not bad, (J, K, bad)
+    # T, Q and P of each of the 14 subgroup generators
+    ran, bad = catalog_verdicts("limits", "limit")
+    assert len(ran) == 42
+    assert not bad, bad
 
 
 def test_limit_examples_frozen():
@@ -383,10 +394,11 @@ def test_lift_word_needs_branch_on_non_birational_arrows():
 # Hamiltonians
 
 def test_hamiltonian_checks_all_arrows():
-    for J, K in ALL:
-        results = verify_hamiltonian(arrow(J, K))
-        bad = [label for label, ok in results if not ok]
-        assert not bad, (J, K, bad)
+    # gauge terms and limit on every arrow, the H_V + Q*P identity on V -> III
+    ran, bad = catalog_verdicts("hamiltonian", "ham")
+    assert len(ran) == 11
+    assert "degen/V-III/ham/shift-identity" in ran
+    assert not bad, bad
 
 
 def test_hamiltonian_limit_residuals():
