@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .qsqrt2 import QSqrt2
 from .symbols import Symbol, sym
-from .poly import Poly
+from .poly import MonomialOverflow, Poly
 from .ratfn import (
     DenominatorVanishes,
     DivisionByZero,
@@ -80,7 +80,7 @@ from .numeric import (
 )
 
 __all__ = [
-    "QSqrt2", "Symbol", "sym", "Poly", "RatFn", "ratfn_equal",
+    "QSqrt2", "Symbol", "sym", "Poly", "MonomialOverflow", "RatFn", "ratfn_equal",
     "DivisionByZero", "DenominatorVanishes",
     "EpsSeries", "binomial_series", "series_equal", "DivergesAtZero",
     "DivisionByZeroSeries", "FloorExceeded", "NonpositiveValuation",

@@ -92,11 +92,12 @@ def cmd_degenerate(args) -> int:
         arr = dg.arrow(args.source, args.target)
     except dg.UnsupportedArrow as exc:
         return _input_error(str(exc))
-    if args.order is not None and args.order < arr.eps_power:
-        # below eps^k the S(eps)^k comparisons have no terms and pass vacuously
+    if args.order is not None and args.order <= arr.eps_power:
+        # at eps^k the S(eps)^k comparisons keep only the leading term, so a
+        # wrong eps branch passes; below it they compare nothing
         return _input_error(
-            f"--order {args.order} is below the eps power {arr.eps_power}"
-            f" of {arr.name}; its branch checks would compare nothing"
+            f"--order {args.order} is not above the eps power {arr.eps_power}"
+            f" of {arr.name}; its branch checks need order {arr.eps_power + 1}"
         )
     arr = dg.arrow(args.source, args.target, order=args.order)
     report = _new_report({

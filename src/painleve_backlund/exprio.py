@@ -220,8 +220,8 @@ def print_poly(poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
-    for key in sorted(poly.terms, reverse=True):
-        neg, coeff = _coeff_parts(poly.terms[key])
+    for key, c in sorted(poly.coefficients(), reverse=True):
+        neg, coeff = _coeff_parts(c)
         mono = _monomial_str(key)
         if not mono:
             body = coeff

@@ -64,7 +64,7 @@ def _compile_poly(poly, fold: dict[Symbol, float]):
     """Fold parameter values into a float term table over (t, q, p)."""
     terms: dict[tuple[int, int, int], float] = {}
     sh_t, sh_q, sh_p = SHIFTS[t_.index], SHIFTS[q_.index], SHIFTS[p_.index]
-    for key, c in poly.terms.items():
+    for key, c in poly.coefficients():
         coeff = c.to_float()
         rest = key
         for s, v in fold.items():

@@ -1,49 +1,77 @@
-"""Sparse multivariate polynomials over Q(sqrt2).
+"""Sparse multivariate polynomials over Q(sqrt2), kept as integers over one
+common denominator (the layout of FLINT's fmpq_poly).
 
-Terms map packed monomial keys (see symbols.py) to nonzero QSqrt2
-coefficients.  The zero polynomial is the empty map.  Values are immutable
-after construction; all operations return new polynomials in canonical form
-(no stored zero coefficients).
+A Poly is terms/den: `terms` maps packed monomial keys (see symbols.py) to
+integer numerators and `den` is one positive integer shared by all terms.
+While no coefficient has a sqrt2 part every numerator is a plain int;
+otherwise every numerator is a pair (a, b) of ints meaning a + b*sqrt2.
+Canonical form, restored by each operation with one gcd pass:
+
+  * no stored zero numerator; zero is the empty map over den 1,
+  * den > 0 and gcd(den, every numerator component) == 1,
+  * numerators are pairs only when some b is nonzero.
+
+So `==` on (terms, den) is equality of polynomials and equal polynomials
+hash alike.  Values are immutable after construction.
+
+Arithmetic runs on Python ints (Monagan & Pearce, "Sparse polynomial
+multiplication and division in Maple 14", 2009): schoolbook products,
+merges over the lcm of the denominators, and fraction-free trial division
+by the primitive part of the divisor.  A sqrt2 operand is split as
+A + sqrt2*B into two integer parts that run through the same loops.
+QSqrt2 is only the boundary scalar: const() and scale() take it, and
+leading_coeff(), coefficients() and eval_exact() give it.
+
+Exponents stay below 2^15 (see symbols.py); a product, monomial shift or
+power whose result would reach 2^15 raises MonomialOverflow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import or_
 
-from .qsqrt2 import QSqrt2, ONE as C_ONE
-from .symbols import MASK, SHIFTS, Symbol, sym, var_key
+from .qsqrt2 import QSqrt2
+from .symbols import BITS, GUARDS, MASK, REGISTRY, SHIFTS, Symbol, sym, var_key
 
-_coerce = QSqrt2.of
+
+class MonomialOverflow(OverflowError):
+    """An exponent reached 2^15, the capacity of a packed key field."""
 
 
 class Poly:
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "den", "_hash")
 
-    def __init__(self, terms: dict[int, QSqrt2] | None = None):
-        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
+    def __init__(self, terms: dict | None = None, den: int = 1):
+        # Internal: terms/den must already be canonical (see module doc).
+        self.terms = {} if terms is None else terms
+        self.den = den
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[int, QSqrt2]) -> "Poly":
-        # Internal: terms must already be canonical (no zero coefficients).
-        p = cls.__new__(cls)
-        p.terms = terms
-        p._hash = None
-        return p
-
-    @classmethod
     def zero(cls) -> "Poly":
-        return cls._raw({})
+        return cls()
 
     @classmethod
     def const(cls, value) -> "Poly":
-        c = _coerce(value)
-        return cls._raw({0: c} if c else {})
+        if type(value) is int:
+            return cls({0: value} if value else {})
+        c = QSqrt2.of(value)
+        a, b = c.a, c.b
+        den = lcm(a.denominator, b.denominator)
+        return _join(
+            {0: a.numerator * (den // a.denominator)} if a else {},
+            {0: b.numerator * (den // b.denominator)} if b else {},
+            den,
+        )
 
     @classmethod
     def variable(cls, s: Symbol | str) -> "Poly":
         s = sym(s) if isinstance(s, str) else s
-        return cls._raw({var_key(s): C_ONE})
+        return cls({var_key(s): 1})
 
     # ------------------------------------------------------------------
     # predicates and inspection
@@ -54,15 +82,8 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def const_value(self) -> QSqrt2:
-        if not self.terms:
-            return QSqrt2(0)
-        if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
-        raise ValueError("polynomial is not constant")
-
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(0) == C_ONE
+        return self.den == 1 and len(self.terms) == 1 and self.terms.get(0) == 1
 
     def leading_key(self) -> int:
         """Largest monomial under the global lexicographic order."""
@@ -71,7 +92,16 @@ class Poly:
         return max(self.terms)
 
     def leading_coeff(self) -> QSqrt2:
-        return self.terms[self.leading_key()]
+        return self._scalar(self.terms[self.leading_key()])
+
+    def coefficients(self) -> list[tuple[int, QSqrt2]]:
+        """(packed key, coefficient) for every term, in storage order."""
+        return [(k, self._scalar(c)) for k, c in self.terms.items()]
+
+    def _scalar(self, c) -> QSqrt2:
+        if type(c) is tuple:
+            return QSqrt2(Fraction(c[0], self.den), Fraction(c[1], self.den))
+        return QSqrt2(Fraction(c, self.den))
 
     def max_exponent(self, s: Symbol) -> int:
         sh = SHIFTS[s.index]
@@ -83,14 +113,9 @@ class Poly:
         return deg
 
     def symbols_used(self) -> set[Symbol]:
-        from .symbols import REGISTRY
-
-        used: set[Symbol] = set()
-        for key in self.terms:
-            for s in REGISTRY:
-                if (key >> SHIFTS[s.index]) & MASK:
-                    used.add(s)
-        return used
+        # a field of the OR of all keys is nonzero iff some term uses it
+        used = reduce(or_, self.terms, 0)
+        return {s for s in REGISTRY if (used >> SHIFTS[s.index]) & MASK}
 
     def uses(self, s: Symbol) -> bool:
         sh = SHIFTS[s.index]
@@ -102,11 +127,8 @@ class Poly:
             return 0
         content = None
         for key in self.terms:
-            if content is None:
-                content = key
-            else:
-                content = min_key(content, key)
-            if content == 0:
+            content = key if content is None else min_key(content, key)
+            if not content:
                 return 0
         return content
 
@@ -118,73 +140,32 @@ class Poly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                s = acc + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Poly._raw(out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = -c
-            else:
-                s = acc - c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Poly._raw(out)
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({k: -c for k, c in self.terms.items()})
+        return _combine(ZERO, self, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Poly.zero()
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, QSqrt2] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                acc = get(k)
-                if acc is None:
-                    out[k] = ca * cb
-                else:
-                    s = acc + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return Poly._raw(out)
+        return _product(self, other)
 
     def scale(self, c) -> "Poly":
-        c = _coerce(c)
-        if not c:
-            return Poly.zero()
-        if c == C_ONE:
+        c = Poly.const(c)
+        if c.is_one():
             return self
-        return Poly._raw({k: coeff * c for k, coeff in self.terms.items()})
+        return _product(self, c)
 
     def mul_key(self, key: int) -> "Poly":
         """Multiply by the monomial with the given packed key."""
         if key == 0:
             return self
-        return Poly._raw({k + key: c for k, c in self.terms.items()})
+        out = {k + key: c for k, c in self.terms.items()}
+        _check_keys(out)
+        return Poly(out, self.den)
 
     def div_key(self, key: int) -> "Poly":
         """Divide by a monomial that must divide every term."""
@@ -192,15 +173,16 @@ class Poly:
             return self
         out = {}
         for k, c in self.terms.items():
-            if min_key(k, key) != key:
+            diff = (k | GUARDS) - key
+            if diff & GUARDS != GUARDS:
                 raise ValueError("monomial does not divide every term")
-            out[k - key] = c
-        return Poly._raw(out)
+            out[diff ^ GUARDS] = c
+        return Poly(out, self.den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -212,7 +194,11 @@ class Poly:
     def try_div(self, divisor: "Poly") -> "Poly | None":
         """Exact polynomial division; None if the divisor does not divide.
 
-        Standard sparse reduction against the divisor's lex-leading term.
+        Fraction-free sparse reduction against the lex-leading term of the
+        divisor's primitive part: by Gauss's lemma an exact quotient then
+        has integer numerators, so the first remainder coefficient that the
+        leading one does not divide settles "None".  A sqrt2 divisor M is
+        first made rational by multiplying both sides by its conjugate.
         Used to cancel denominator factors that reappear inside expanded
         numerators during word composition.
         """
@@ -220,65 +206,82 @@ class Poly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        dlead = divisor.leading_key()
-        dcoeff_inv = divisor.terms[dlead].inverse()
-        dtail = [(k, c) for k, c in divisor.terms.items() if k != dlead]
-        rem = dict(self.terms)
-        quo: dict[int, QSqrt2] = {}
-        while rem:
-            rlead = max(rem)
-            if min_key(rlead, dlead) != dlead:
-                return None  # leading monomial not divisible
-            qkey = rlead - dlead
-            qcoeff = rem.pop(rlead) * dcoeff_inv
-            quo[qkey] = qcoeff
-            for k, c in dtail:
-                key = qkey + k
-                acc = rem.get(key)
-                if acc is None:
-                    rem[key] = -(qcoeff * c)
-                else:
-                    s2 = acc - qcoeff * c
-                    if s2:
-                        rem[key] = s2
-                    else:
-                        del rem[key]
-        return Poly._raw(quo)
+        (na, nb), (ma, mb) = _parts(self), _parts(divisor)
+        if mb:
+            # (na + r nb)(ma - r mb) over (ma + r mb)(ma - r mb) = ma^2 - 2 mb^2
+            na, nb = (
+                _lin(_mul_terms(na, ma), 1, _mul_terms(nb, mb), -2),
+                _lin(_mul_terms(nb, ma), 1, _mul_terms(na, mb), -1),
+            )
+            ma = _lin(_mul_terms(ma, ma), 1, _mul_terms(mb, mb), -2)
+        g = gcd(*ma.values())
+        if g != 1:
+            ma = {k: c // g for k, c in ma.items()}
+        qa = _div_terms(na, ma)
+        qb = _div_terms(nb, ma)
+        if qa is None or qb is None:
+            return None
+        dm = divisor.den
+        if dm != 1:
+            qa = {k: c * dm for k, c in qa.items()}
+            qb = {k: c * dm for k, c in qb.items()}
+        return _join(qa, qb, self.den * g)
 
     def partial(self, s: Symbol) -> "Poly":
         sh = SHIFTS[s.index]
         unit = 1 << sh
-        out: dict[int, QSqrt2] = {}
-        for key, c in self.terms.items():
-            e = (key >> sh) & MASK
-            if e:
-                out[key - unit] = c * QSqrt2(e)
-        return Poly._raw(out)
+
+        def diff(terms: dict) -> dict:
+            out = {}
+            for key, c in terms.items():
+                e = (key >> sh) & MASK
+                if e:
+                    out[key - unit] = c * e
+            return out
+
+        a, b = _parts(self)
+        return _join(diff(a), diff(b), self.den)
 
     # ------------------------------------------------------------------
     # evaluation and slicing
 
     def eval_exact(self, values: dict[Symbol, Fraction]) -> QSqrt2:
-        """Evaluate at rational points; every used symbol must be bound."""
-        total = QSqrt2(0)
-        items = [(SHIFTS[s.index], Fraction(v)) for s, v in values.items()]
-        for key, c in self.terms.items():
-            factor = Fraction(1)
-            rest = key
-            for shift, v in items:
-                e = (key >> shift) & MASK
-                if e:
-                    factor *= v**e
+        """Evaluate at rational points; every used symbol must be bound.
+
+        A bound value n/d with top exponent m in the polynomial contributes
+        n^e * d^(m-e) to a term of exponent e, so the sum stays an integer
+        over den * prod d^m.
+        """
+        tables = []
+        scale = self.den
+        for s, v in values.items():
+            m = self.max_exponent(s)
+            if m:
+                v = Fraction(v)
+                n, d = v.numerator, v.denominator
+                tables.append((SHIFTS[s.index], [n**e * d ** (m - e) for e in range(m + 1)]))
+                scale *= d**m
+
+        def total(terms: dict) -> Fraction:
+            acc = 0
+            for key, c in terms.items():
+                rest = key
+                for shift, table in tables:
+                    e = (key >> shift) & MASK
+                    c *= table[e]
                     rest -= e << shift
-            if rest:
-                raise ValueError("unbound symbol in exact evaluation")
-            total = total + c * QSqrt2(factor)
-        return total
+                if rest:
+                    raise ValueError("unbound symbol in exact evaluation")
+                acc += c
+            return Fraction(acc, scale)
+
+        a, b = _parts(self)
+        return QSqrt2(total(a), total(b))
 
     def eval_float(self, values: dict[Symbol, float]) -> float:
         total = 0.0
         items = [(SHIFTS[s.index], float(v)) for s, v in values.items()]
-        for key, c in self.terms.items():
+        for key, c in self.coefficients():
             factor = c.to_float()
             rest = key
             for shift, v in items:
@@ -294,11 +297,17 @@ class Poly:
     def slices(self, s: Symbol) -> dict[int, "Poly"]:
         """Decompose as sum_k s^k * slice_k with s removed from each slice."""
         sh = SHIFTS[s.index]
-        out: dict[int, dict[int, QSqrt2]] = {}
-        for key, c in self.terms.items():
-            e = (key >> sh) & MASK
-            out.setdefault(e, {})[key - (e << sh)] = c
-        return {e: Poly._raw(terms) for e, terms in out.items()}
+
+        def split(terms: dict) -> dict[int, dict]:
+            out: dict[int, dict] = {}
+            for key, c in terms.items():
+                e = (key >> sh) & MASK
+                out.setdefault(e, {})[key - (e << sh)] = c
+            return out
+
+        a, b = _parts(self)
+        sa, sb = split(a), split(b)
+        return {e: _join(sa.get(e, {}), sb.get(e, {}), self.den) for e in {**sa, **sb}}
 
     # ------------------------------------------------------------------
     # equality / hashing (canonical form makes structural == semantic)
@@ -306,11 +315,13 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # By coefficient value, not by storage layout: set and dict orders
+        # over Poly atoms (the peel order of FactoredFrac) depend on it.
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash(frozenset(self.coefficients()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -321,13 +332,155 @@ class Poly:
 
 def min_key(k1: int, k2: int) -> int:
     """Componentwise minimum of two packed monomial keys (gcd of monomials)."""
-    out = 0
-    for sh in SHIFTS:
-        e1 = (k1 >> sh) & MASK
-        e2 = (k2 >> sh) & MASK
-        out |= (e1 if e1 < e2 else e2) << sh
+    ge = ((k1 | GUARDS) - k2) & GUARDS  # guard set where field of k1 >= k2
+    mask = ge - (ge >> (BITS - 1))  # ... widened to the whole field
+    return (k2 & mask) | (k1 & ~mask)
+
+
+def _check_keys(terms: dict) -> None:
+    """Raise MonomialOverflow if some key of a result has a guard bit set."""
+    if reduce(or_, terms, 0) & GUARDS:
+        raise MonomialOverflow("an exponent reached 2^15")
+
+
+# ----------------------------------------------------------------------
+# integer kernels on {key: int} maps with no zero values
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            acc = get(k)
+            if acc is None:
+                out[k] = ca * cb
+            else:
+                s = acc + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    _check_keys(out)
     return out
 
 
-ZERO = Poly.zero()
+def _lin(x: dict, m: int, y: dict, n: int) -> dict:
+    """m*x + n*y."""
+    out = dict(x) if m == 1 else {k: c * m for k, c in x.items()}
+    get = out.get
+    for k, c in y.items():
+        acc = get(k)
+        if acc is None:
+            out[k] = n * c
+        else:
+            s = acc + n * c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _div_terms(num: dict, div: dict) -> dict | None:
+    """num / div over Z, or None if div does not divide num over Q.
+
+    div must be primitive (its numerators have gcd 1).
+    """
+    dlead = max(div)
+    dcoeff = div[dlead]
+    dtail = [(k, c) for k, c in div.items() if k != dlead]
+    rem = dict(num)
+    # max-heap of remainder keys; a key cancelled from rem stays behind stale
+    heap = [-k for k in rem]
+    heapify(heap)
+    quo: dict[int, int] = {}
+    while rem:
+        rlead = -heappop(heap)
+        c = rem.pop(rlead, 0)
+        if not c:
+            continue
+        if rlead & GUARDS:
+            raise MonomialOverflow("an exponent reached 2^15")
+        diff = (rlead | GUARDS) - dlead
+        if diff & GUARDS != GUARDS:
+            return None  # leading monomial not divisible
+        qcoeff, r = divmod(c, dcoeff)
+        if r:
+            return None  # an exact quotient would have integer numerators
+        qkey = diff ^ GUARDS
+        quo[qkey] = qcoeff
+        for k, dc in dtail:
+            key = qkey + k
+            acc = rem.get(key)
+            if acc is None:
+                rem[key] = -qcoeff * dc
+                heappush(heap, -key)
+            else:
+                s = acc - qcoeff * dc
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+    return quo
+
+
+# ----------------------------------------------------------------------
+# the sqrt2 split, normalisation, and the operations built on them
+
+
+def _parts(p: Poly) -> tuple[dict, dict]:
+    """Numerators of p as A + sqrt2*B, two {key: int} maps without zeros."""
+    t = p.terms
+    if not t or type(next(iter(t.values()))) is not tuple:
+        return t, {}
+    return (
+        {k: c[0] for k, c in t.items() if c[0]},
+        {k: c[1] for k, c in t.items() if c[1]},
+    )
+
+
+def _join(a: dict, b: dict, den: int) -> Poly:
+    """Canonical Poly (a + sqrt2*b)/den from {key: int} maps without zeros."""
+    if not a and not b:
+        return ZERO
+    if den != 1:
+        g = gcd(den, *a.values(), *b.values())
+        if g != 1:
+            den //= g
+            a = {k: c // g for k, c in a.items()}
+            b = {k: c // g for k, c in b.items()}
+    if b:
+        return Poly({k: (a.get(k, 0), b.get(k, 0)) for k in {**a, **b}}, den)
+    return Poly(a, den)
+
+
+def _combine(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q over the lcm of the two denominators."""
+    dp, dq = p.den, q.den
+    g = gcd(dp, dq)
+    mp, mq = dq // g, sign * (dp // g)
+    (pa, pb), (qa, qb) = _parts(p), _parts(q)
+    return _join(_lin(pa, mp, qa, mq), _lin(pb, mp, qb, mq), dp * mp)
+
+
+def _product(p: Poly, q: Poly) -> Poly:
+    if not p.terms or not q.terms:
+        return ZERO
+    (pa, pb), (qa, qb) = _parts(p), _parts(q)
+    den = p.den * q.den
+    if not pb and not qb:
+        return _join(_mul_terms(pa, qa), {}, den)
+    # (pa + r pb)(qa + r qb) = pa qa + 2 pb qb + r (pa qb + pb qa)
+    return _join(
+        _lin(_mul_terms(pa, qa), 1, _mul_terms(pb, qb), 2),
+        _lin(_mul_terms(pa, qb), 1, _mul_terms(pb, qa), 1),
+        den,
+    )
+
+
+ZERO = Poly()
 ONE = Poly.const(1)

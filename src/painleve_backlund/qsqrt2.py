@@ -1,9 +1,14 @@
-"""Exact arithmetic in the field Q(sqrt2).
+"""Exact scalars a + b*sqrt2 of Q(sqrt2), at the boundary of the kernel.
 
-Every coefficient in the engine is a value a + b*sqrt2 with rational a, b.
+Polynomials do not store QSqrt2 values: poly.py keeps integer numerators
+over one common denominator.  QSqrt2 is the scalar that crosses that
+boundary: what Poly.const and scale take, and what leading_coeff,
+coefficients, eval_exact and the printer in exprio give back.  It keeps
+only the arithmetic those callers need: products, inverses and quotients
+of evaluated values, and equality.
+
 The extension is needed only for the IV -> II substitution, which scales
-coordinates by 1/sqrt2, but using a single coefficient type everywhere keeps
-the kernel uniform.  Since sqrt2 is irrational, a + b*sqrt2 = 0 forces
+coordinates by 1/sqrt2.  Since sqrt2 is irrational, a + b*sqrt2 = 0 forces
 a = b = 0, so every nonzero value is invertible:
 
     1 / (a + b*sqrt2) = (a - b*sqrt2) / (a^2 - 2*b^2)
@@ -33,18 +38,6 @@ class QSqrt2:
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, other: "QSqrt2") -> "QSqrt2":
-        return QSqrt2(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "QSqrt2") -> "QSqrt2":
-        return QSqrt2(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "QSqrt2":
-        return QSqrt2(-self.a, -self.b)
 
     def __mul__(self, other: "QSqrt2") -> "QSqrt2":
         # (a + b r)(c + d r) = (ac + 2bd) + (ad + bc) r  with r^2 = 2

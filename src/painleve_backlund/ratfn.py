@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .poly import ONE as P_ONE, Poly, min_key
 from .qsqrt2 import QSqrt2
-from .symbols import Symbol, var_key
+from .symbols import Symbol
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -77,11 +77,6 @@ class RatFn:
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_one()
-
-    def const_value(self) -> QSqrt2:
-        if not self.den.is_one():
-            raise ValueError("rational function is not constant")
-        return self.num.const_value()
 
     def symbols_used(self) -> set[Symbol]:
         return self.num.symbols_used() | self.den.symbols_used()
@@ -198,11 +193,7 @@ class RatFn:
 
 
 def _is_identity(s: Symbol, b: RatFn) -> bool:
-    return (
-        b.den.is_one()
-        and len(b.num.terms) == 1
-        and b.num.terms.get(var_key(s)) == QSqrt2(1)
-    )
+    return b.den.is_one() and b.num == Poly.variable(s)
 
 
 def _subst_poly(
@@ -233,7 +224,7 @@ def _subst_poly(
         den_pows.append(dpws)
     shifts = [SHIFTS[s.index] for s, _ in active]
     result = Poly.zero()
-    for key, c in poly.terms.items():
+    for key, c in poly.coefficients():
         term = Poly.const(c)
         rest = key
         for i, sh in enumerate(shifts):

@@ -332,7 +332,7 @@ def poly_at_series(
 
     result = EpsSeries.zero(trunc)
     powers: dict[tuple[int, int], EpsSeries] = {}
-    for key, coeff in poly.terms.items():
+    for key, coeff in poly.coefficients():
         term = EpsSeries.const(coeff, trunc)
         rest = key
         for s, value in args.items():

@@ -4,10 +4,13 @@ All polynomials share one variable universe, frozen at import time.  The
 registry order doubles as the priority of the lexicographic monomial order:
 symbols earlier in the list compare higher.
 
-Monomials are stored as packed integers, 16 bits of exponent per symbol,
-with symbol 0 in the most significant field.  Packing makes monomial
+Monomials are stored as packed integers, one 16-bit field per symbol, with
+symbol 0 in the most significant field.  Packing makes monomial
 multiplication a single integer addition and makes the numeric order of the
-packed keys coincide with the lexicographic monomial order.
+packed keys coincide with the lexicographic monomial order.  The top bit of
+each field is a guard: exponents stay below 2^15, so the sum of two keys
+never carries into the next field, and a set guard bit flags an exponent
+that has outgrown its field.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ _BY_NAME = {s.name: s for s in REGISTRY}
 
 # Shift of each symbol's exponent field inside a packed monomial key.
 SHIFTS = tuple((NSYM - 1 - i) * BITS for i in range(NSYM))
+# The guard bit of every field; a valid key has none of them set.
+GUARDS = sum(1 << (sh + BITS - 1) for sh in SHIFTS)
 
 
 def sym(name: str) -> Symbol:

@@ -47,11 +47,12 @@ def rand_poly(
     max_terms: int = 3,
     max_degree: int = 2,
     allow_zero: bool = True,
+    sqrt2_prob: float = 0.15,
 ) -> Poly:
     terms = rng.randint(0 if allow_zero else 1, max_terms)
     result = Poly.zero()
     for _ in range(terms):
-        mono = Poly.const(rand_coeff(rng))
+        mono = Poly.const(rand_coeff(rng, sqrt2_prob))
         for s in symbols:
             e = rng.randint(0, max_degree)
             if e:

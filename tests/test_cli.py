@@ -142,6 +142,8 @@ def test_order_below_eps_power_is_refused(capsys):
                        "--order", "-20", "--jobs", "1")
     assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
                        "--order", "5", "--jobs", "1")
+    # at order == eps_power a sign-flipped VI -> V S0 eps branch passes
+    assert_input_error(capsys, "degenerate", "VI", "V", "--order", "1")
 
 
 def test_order_reaches_the_checks(capsys, monkeypatch):
