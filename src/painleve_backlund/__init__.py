@@ -10,74 +10,58 @@ generator table of the target group.
 
 __version__ = "0.1.0"
 
-from .qsqrt2 import QSqrt2
-from .symbols import Symbol, sym
-from .poly import MonomialOverflow, Poly
-from .ratfn import (
-    DenominatorVanishes,
-    DivisionByZero,
-    RatFn,
-    ratfn_equal,
-)
-from .series import (
-    EpsSeries,
-    DivergesAtZero,
-    DivisionByZeroSeries,
-    FloorExceeded,
-    NonpositiveValuation,
-    NotExpandable,
-    binomial_series,
-    series_equal,
-)
-from .exprio import (
-    ExprSyntaxError,
-    UnknownSymbol,
-    load_fixtures,
-    parse_expr,
-    print_expr,
-    print_series,
-)
-from .systems import (
-    PainleveSystem,
-    UnsupportedSystem,
-    derivation_apply,
-    hamiltonian,
-    poisson_bracket,
-    system,
-)
-from .groups import (
-    BacklundGen,
-    apply_word,
-    fundamental_relations,
-    generator,
-    generators,
-    verify_commutes_with_derivation,
-    verify_constraint_preserved,
-    verify_relation,
-    verify_symplectic,
-)
-from .degeneration import (
-    DegenerationArrow,
-    LiftedGenerator,
-    UnsupportedArrow,
-    arrow,
-    arrows,
-    degenerate_hamiltonian,
-    hamiltonian_limit,
-    lift_generator,
-    lift_word,
-    limit_action,
-    transformed_system_factor,
-    verify_subgroup_relations,
-)
-from .numeric import (
-    NearPole,
-    Trajectory,
-    backlund_numeric_check,
-    degeneration_numeric_check,
-    eval_ratfn,
-    integrate,
-)
+import importlib
+
+# Public name -> the module that defines it.  Names load on first access
+# (PEP 562): importing the package runs none of its modules, and importing
+# one module runs only the modules that module imports.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "qsqrt2": ("QSqrt2",),
+        "symbols": ("Symbol", "sym"),
+        "poly": ("MonomialOverflow", "Poly"),
+        "ratfn": ("DenominatorVanishes", "DivisionByZero", "RatFn", "ratfn_equal"),
+        "series": (
+            "EpsSeries", "DivergesAtZero", "DivisionByZeroSeries", "FloorExceeded",
+            "NonpositiveValuation", "NotExpandable", "binomial_series", "series_equal",
+        ),
+        "exprio": (
+            "ExprSyntaxError", "UnknownSymbol", "load_fixtures", "parse_expr",
+            "print_expr", "print_series",
+        ),
+        "systems": (
+            "PainleveSystem", "UnsupportedSystem", "derivation_apply", "hamiltonian",
+            "poisson_bracket", "system",
+        ),
+        "groups": (
+            "BacklundGen", "apply_word", "fundamental_relations", "generator",
+            "generators", "verify_commutes_with_derivation",
+            "verify_constraint_preserved", "verify_relation", "verify_symplectic",
+        ),
+        "degeneration": (
+            "DegenerationArrow", "LiftedGenerator", "UnsupportedArrow", "arrow",
+            "arrows", "degenerate_hamiltonian", "hamiltonian_limit",
+            "lift_generator", "lift_word", "limit_action",
+            "transformed_system_factor", "verify_subgroup_relations",
+        ),
+        "numeric": (
+            "NearPole", "Trajectory", "backlund_numeric_check",
+            "degeneration_numeric_check", "eval_ratfn", "integrate",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "QSqrt2", "Symbol", "sym", "Poly", "MonomialOverflow", "RatFn", "ratfn_equal",

@@ -15,12 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import __version__
-from . import checks as ck
-from . import degeneration as dg
 from .numeric import NearPole, backlund_numeric_check, degeneration_numeric_check
 from .groups import generator
 from .report import CheckRecord, Report
@@ -51,8 +48,12 @@ def _new_report(config: dict) -> Report:
 
 
 def _run_ids(report: Report, ids: list[str], jobs: int, order: int | None = None) -> None:
+    from . import checks as ck
+
     run = partial(ck.run_check, order=order)  # a partial of a module function pickles
     if jobs > 1 and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run, ids))
     else:
@@ -70,6 +71,8 @@ def _emit(report: Report, fmt: str) -> int:
 
 
 def cmd_verify_groups(args) -> int:
+    from . import checks as ck
+
     labels = ck.GROUPS if args.system in (None, "all") else (args.system,)
     for label in labels:
         if label not in ck.GROUPS:
@@ -88,6 +91,9 @@ def cmd_verify_groups(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
+    from . import checks as ck
+    from . import degeneration as dg
+
     try:
         arr = dg.arrow(args.source, args.target)
     except dg.UnsupportedArrow as exc:
@@ -178,6 +184,8 @@ def cmd_numeric_backlund(args) -> int:
 
 
 def cmd_numeric_degeneration(args) -> int:
+    from . import degeneration as dg
+
     try:
         arr = dg.arrow(args.arrow[0], args.arrow[1])
     except dg.UnsupportedArrow as exc:

@@ -409,7 +409,10 @@ def _build_arrows(
     return arrows
 
 
-_ARROWS = _build_arrows()
+@cache
+def _default_arrows() -> dict[tuple[str, str], DegenerationArrow]:
+    # built on first use, so importing the module builds nothing
+    return _build_arrows()
 
 
 @cache
@@ -420,10 +423,11 @@ def _arrow_at(key: tuple[str, str], order: int) -> DegenerationArrow:
 
 def arrow(source: str, target: str, order: int | None = None) -> DegenerationArrow:
     key = (source, target)
-    if key in _ARROWS:
-        if order is not None and order != _ARROWS[key].trunc:
+    if key in ARROW_KEYS:
+        default = _default_arrows()[key]
+        if order is not None and order != default.trunc:
             return _arrow_at(key, order)
-        return _ARROWS[key]
+        return default
     if key == ("II", "I"):
         raise UnsupportedArrow(
             "the II -> I degeneration is not lifted: every candidate"
@@ -434,7 +438,8 @@ def arrow(source: str, target: str, order: int | None = None) -> DegenerationArr
 
 
 def arrows() -> list[DegenerationArrow]:
-    return [_ARROWS[key] for key in ARROW_KEYS]
+    built = _default_arrows()
+    return [built[key] for key in ARROW_KEYS]
 
 
 # ----------------------------------------------------------------------

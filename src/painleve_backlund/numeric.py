@@ -7,7 +7,14 @@ Flows are integrated with classical fixed-step RK4 on
 where w is the system's time weight, so windows must exclude the zeros of w
 (t = 0 for V and III, t in {0, 1} for VI).  Everything is plain double
 arithmetic; expressions are compiled once per run by folding the parameter
-values into float coefficient tables.
+values into float coefficient tables, and each table becomes generated
+straight-line code: one function per rational function, and one per
+degenerate flow component with all its eps orders inlined.  The generated
+code performs the same IEEE operations in the same order as summing the
+tables term by term, so every value is bit-identical to that loop.
+
+`degeneration` is imported only when a degenerate flow is compiled, so
+`numeric backlund` loads neither it nor `series`.
 """
 
 from __future__ import annotations
@@ -15,12 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .degeneration import DegenerationArrow, degenerate_hamiltonian
 from .groups import BacklundGen
 from .ratfn import RatFn
 from .symbols import MASK, SHIFTS, Symbol, alpha, p_, q_, t_
 from .systems import system
+
+if TYPE_CHECKING:
+    from .degeneration import DegenerationArrow
 
 POLE_GUARD = 1e-12
 
@@ -60,10 +70,13 @@ def eval_ratfn(f: RatFn, assignment: dict[Symbol, float]) -> float:
 # ----------------------------------------------------------------------
 # compiled evaluation on (t, q, p)
 
-def _compile_poly(poly, fold: dict[Symbol, float]):
-    """Fold parameter values into a float term table over (t, q, p)."""
+def _compile_poly(poly, fold: dict[Symbol, float], variables=(t_, q_, p_)):
+    """Fold parameter values into a float term table over three variables.
+
+    Each table key is the exponent triple of `variables`, read as (t, q, p).
+    """
     terms: dict[tuple[int, int, int], float] = {}
-    sh_t, sh_q, sh_p = SHIFTS[t_.index], SHIFTS[q_.index], SHIFTS[p_.index]
+    sh_t, sh_q, sh_p = (SHIFTS[s.index] for s in variables)
     for key, c in poly.coefficients():
         coeff = c.to_float()
         rest = key
@@ -84,25 +97,68 @@ def _compile_poly(poly, fold: dict[Symbol, float]):
     return list(terms.items())
 
 
+def _generate(quotients, scales=None, negate=False):
+    """Emit one straight-line function (t, q, p) -> float.
+
+    `quotients` is a list of (numerator, denominator) term tables.  With no
+    `scales` the function returns the one quotient n/d; otherwise it returns
+    0 + s_0*(n_0/d_0) + s_1*(n_1/d_1) + ..., negated when `negate` is set.
+    Each sum runs left to right from 0.0 in table order, each term is
+    c*t**et*q**eq*p**ep with the **0 and **1 factors dropped and every power
+    of exponent >= 2 computed once, so the result is bit-identical to the
+    term-by-term loop.  Coefficients and scales live in the function's
+    globals and are never formatted into the source.  NearPole is raised on
+    an OverflowError from a power and on a denominator of magnitude at most
+    POLE_GUARD, before anything divides by it.
+    """
+    env = {"NearPole": NearPole, "POLE_GUARD": POLE_GUARD}
+    powers = sorted({
+        (i, e)
+        for pair in quotients for table in pair for mono, _ in table
+        for i, e in enumerate(mono) if e >= 2
+    })
+
+    def total(table) -> str:
+        parts = ["0.0"]
+        for mono, c in table:
+            name = f"c{len(env)}"
+            env[name] = c
+            parts.append("*".join([name] + [
+                "tqp"[i] if e == 1 else f"{'tqp'[i]}{e}"
+                for i, e in enumerate(mono) if e
+            ]))
+        return " + ".join(parts)
+
+    lines = ["def evaluate(t, q, p):"]
+    if powers:
+        lines += [
+            "    try:",
+            *(f"        {'tqp'[i]}{e} = {'tqp'[i]}**{e}" for i, e in powers),
+            "    except OverflowError:",
+            "        raise NearPole('value overflow during evaluation', (t, q, p)) from None",
+        ]
+    for k, (_, den) in enumerate(quotients):
+        lines += [
+            f"    d{k} = {total(den)}",
+            f"    if abs(d{k}) <= POLE_GUARD:",
+            "        raise NearPole('denominator magnitude below 1e-12', (t, q, p))",
+        ]
+    quots = [f"({total(num)}) / d{k}" for k, (num, _) in enumerate(quotients)]
+    if scales is None:
+        (result,) = quots
+    else:
+        for k, s in enumerate(scales):
+            env[f"s{k}"] = s
+        result = " + ".join(["0"] + [f"s{k}*({q})" for k, q in enumerate(quots)])
+        if negate:
+            result = f"-({result})"
+    lines.append(f"    return {result}")
+    exec(compile("\n".join(lines), "<numeric evaluator>", "exec"), env)
+    return env["evaluate"]
+
+
 def _compile_ratfn(f: RatFn, fold: dict[Symbol, float]):
-    num = _compile_poly(f.num, fold)
-    den = _compile_poly(f.den, fold)
-
-    def evaluate(t: float, q: float, p: float) -> float:
-        try:
-            nv = 0.0
-            for (et, eq, ep), c in num:
-                nv += c * t**et * q**eq * p**ep
-            dv = 0.0
-            for (et, eq, ep), c in den:
-                dv += c * t**et * q**eq * p**ep
-        except OverflowError:
-            raise NearPole("value overflow during evaluation", (t, q, p)) from None
-        if abs(dv) <= POLE_GUARD:
-            raise NearPole("denominator magnitude below 1e-12", (t, q, p))
-        return nv / dv
-
-    return evaluate
+    return _generate([(_compile_poly(f.num, fold), _compile_poly(f.den, fold))])
 
 
 def _flow_functions(label: str, params: dict[Symbol, float]):
@@ -238,32 +294,30 @@ def _compile_series_flow(arr: DegenerationArrow, eps_value: float, params: dict[
     """Compile the flow of the truncated degenerate Hamiltonian at numeric eps.
 
     Partial derivatives are taken per coefficient before folding, so the
-    flow-trivial divergent gauge terms never get evaluated.
+    flow-trivial divergent gauge terms never get evaluated.  Each flow
+    component is one generated function over every eps order, reading the
+    (T, Q, P) exponents of the coefficients as (t, q, p).
     """
+    from .degeneration import degenerate_hamiltonian
     from .symbols import P_, Q_, T_
 
     series = degenerate_hamiltonian(arr)
-    fold = dict(params)
-    relabel = {T_: t_, Q_: q_, P_: p_}
 
-    def compile_partial(var: Symbol):
-        tables = []
+    def compile_partial(var: Symbol, negate: bool):
+        scales, quotients = [], []
         for order, coeff in series.coeffs.items():
             d = coeff.partial(var)
             if d.is_zero():
                 continue
-            renamed = d.substitute({k: RatFn.variable(v) for k, v in relabel.items()})
-            tables.append((eps_value**order, _compile_ratfn(renamed, fold)))
-        def evaluate(t, q, p):
-            return sum(scale * fn(t, q, p) for scale, fn in tables)
-        return evaluate
+            scales.append(eps_value**order)
+            quotients.append((
+                _compile_poly(d.num, params, (T_, Q_, P_)),
+                _compile_poly(d.den, params, (T_, Q_, P_)),
+            ))
+        return _generate(quotients, scales, negate)
 
-    dq = compile_partial(P_)           # {H, Q} = dH/dP
-    dp_raw = compile_partial(Q_)       # {H, P} = -dH/dQ
-
-    def dp(t, q, p):
-        return -dp_raw(t, q, p)
-
+    dq = compile_partial(P_, False)  # {H, Q} = dH/dP
+    dp = compile_partial(Q_, True)   # {H, P} = -dH/dQ
     return dq, dp
 
 

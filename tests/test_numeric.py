@@ -2,18 +2,26 @@ import math
 
 import pytest
 
-from painleve_backlund.degeneration import arrow
+from painleve_backlund.cli import DEGEN_NUMERIC_DEFAULTS
+from painleve_backlund.degeneration import arrow, arrows, degenerate_hamiltonian
 from painleve_backlund.exprio import parse_expr as P
 from painleve_backlund.groups import generator
 from painleve_backlund.numeric import (
+    POLE_GUARD,
     NearPole,
+    _compile_poly,
+    _compile_ratfn,
+    _compile_series_flow,
     backlund_numeric_check,
     degeneration_numeric_check,
     eval_ratfn,
     integrate,
 )
-from painleve_backlund.symbols import alpha, p_, q_, t_
+from painleve_backlund.ratfn import RatFn
+from painleve_backlund.symbols import A, P_, Q_, T_, alpha, p_, q_, t_
 from painleve_backlund.systems import hamiltonian, poisson_bracket
+
+from conftest import rand_poly, rng_for
 
 
 def test_eval_examples():
@@ -208,3 +216,105 @@ def test_energy_rate_matches_time_partial_along_fourth_system():
         exact = eval_ratfn(Ht, {**assign, t_: t, q_: q, p_: p})
         worst = max(worst, abs(rate - exact))
     assert worst < 5e-5  # centered-difference O(h^2) floor for this window
+
+
+# ----------------------------------------------------------------------
+# generated evaluators against the term-by-term loop they replaced
+
+
+def term_loop(f, fold):
+    """Reference evaluator: the loop over the float term tables."""
+    num = _compile_poly(f.num, fold)
+    den = _compile_poly(f.den, fold)
+
+    def evaluate(t, q, p):
+        try:
+            nv = 0.0
+            for (et, eq, ep), c in num:
+                nv += c * t**et * q**eq * p**ep
+            dv = 0.0
+            for (et, eq, ep), c in den:
+                dv += c * t**et * q**eq * p**ep
+        except OverflowError:
+            raise NearPole("value overflow during evaluation", (t, q, p)) from None
+        if abs(dv) <= POLE_GUARD:
+            raise NearPole("denominator magnitude below 1e-12", (t, q, p))
+        return nv / dv
+
+    return evaluate
+
+
+def outcome(fn, point):
+    # repr tells -0.0 from 0.0, so equal outcomes are equal bits
+    try:
+        return repr(fn(*point))
+    except NearPole as exc:
+        return f"NearPole: {exc}"
+
+
+def test_generated_evaluator_matches_term_loop(seed):
+    rng = rng_for(seed, "numeric-evaluator")
+    fold = {alpha[1]: 0.37, alpha[2]: -1.3}
+    symbols = (t_, q_, p_, *fold)
+    kinds = set()
+    for _ in range(80):
+        f = RatFn(
+            rand_poly(rng, symbols, max_terms=6, max_degree=3, sqrt2_prob=0.5),
+            rand_poly(rng, symbols, max_terms=3, max_degree=3, allow_zero=False,
+                      sqrt2_prob=0.5),
+        )
+        ours, ref = _compile_ratfn(f, fold), term_loop(f, fold)
+        points = [tuple(rng.uniform(-3, 3) for _ in range(3)) for _ in range(4)]
+        points += [(0.0, -0.0, 0.0), (1.0, -1.0, 0.5), (1e120, 2.0, -1.0)]
+        for point in points:
+            got = outcome(ours, point)
+            assert got == outcome(ref, point), (f, point)
+            kinds.add("NearPole" if got.startswith("NearPole") else "value")
+    assert kinds == {"value", "NearPole"}
+
+
+def test_generated_evaluator_near_pole():
+    tiny = _compile_ratfn(P("(t + q)/(q - 1)"), {})
+    with pytest.raises(NearPole, match="denominator"):
+        tiny(0.5, 1.0 + 1e-13, 0.0)
+    assert tiny(0.5, 2.0, 0.0) == 2.5
+    for f, point in ((P("q^3*p"), (0.0, 1e200, 2.0)), (P("1/(1 + t*p^2)"), (1.0, 0.0, 1e300))):
+        with pytest.raises(NearPole, match="overflow"):
+            _compile_ratfn(f, {})(*point)
+
+
+@pytest.mark.parametrize("eps_value", [1e-2, 1e-3])
+def test_fused_series_flow_matches_per_table_sum(eps_value):
+    relabel = {T_: RatFn.variable(t_), Q_: RatFn.variable(q_), P_: RatFn.variable(p_)}
+    for arr in arrows():
+        params, (t0, q0, p0), t1 = DEGEN_NUMERIC_DEFAULTS[(arr.source, arr.target)]
+        fold = dict(zip(A, params))
+        series = degenerate_hamiltonian(arr)
+
+        def per_table_sum(var):
+            # one evaluator per eps order, summed from int 0 as sum() does
+            tables = []
+            for order, coeff in series.coeffs.items():
+                d = coeff.partial(var)
+                if not d.is_zero():
+                    tables.append((eps_value**order, term_loop(d.substitute(relabel), fold)))
+
+            def evaluate(t, q, p):
+                total = 0
+                for scale, fn in tables:
+                    total = total + scale * fn(t, q, p)
+                return total
+
+            return evaluate
+
+        dq, dp = _compile_series_flow(arr, eps_value, fold)
+        ref_dq, dp_raw = per_table_sum(P_), per_table_sum(Q_)
+
+        def ref_dp(t, q, p):
+            return -dp_raw(t, q, p)
+
+        for k in range(5):
+            t = t0 + k * (t1 - t0) / 4
+            for point in ((t, q0, p0), (t, q0 + 0.3 * k, p0 - 0.2 * k)):
+                assert outcome(dq, point) == outcome(ref_dq, point), (arr.name, point)
+                assert outcome(dp, point) == outcome(ref_dp, point), (arr.name, point)

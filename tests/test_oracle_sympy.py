@@ -1,14 +1,16 @@
-"""Differential tests of the polynomial kernel against sympy.
+"""Differential tests of the polynomial kernel and eps-series against sympy.
 
 sympy is an independent oracle here and nowhere else: the package never
-imports it.  Every case comes from the seeded generators in conftest, with
-half of the coefficients carrying a sqrt2 part.
+imports it.  Every random case comes from the seeded generators in
+conftest, with half of the coefficients carrying a sqrt2 part.
 """
 
 import pytest
 
+from painleve_backlund.degeneration import arrow, degenerate_hamiltonian_exact
 from painleve_backlund.ratfn import RatFn, ratfn_equal
-from painleve_backlund.symbols import MASK, REGISTRY, SHIFTS, p_, q_, t_
+from painleve_backlund.series import EpsSeries
+from painleve_backlund.symbols import MASK, REGISTRY, SHIFTS, eps, p_, q_, t_
 
 from conftest import rand_poly, rng_for
 
@@ -93,3 +95,42 @@ def test_ratfn_equal_matches_sympy_cancel(seed):
             verdicts.add(expected)
             assert ratfn_equal(f, g) == expected, (f, g)
     assert verdicts == {True, False}
+
+
+def series_matches_sympy(f, trunc):
+    """EpsSeries.from_ratfn(f, trunc) equals sympy.series, order by order."""
+    e = sympy.Symbol(eps.name)
+    ours = EpsSeries.from_ratfn(f, trunc)
+    # eps^k f is regular at eps = 0, so sympy gives a Taylor polynomial
+    k = f.den.max_exponent(eps)
+    expansion = sympy.series(to_sympy(f.num) * e**k / to_sympy(f.den), e, 0, trunc + k + 1)
+    collected = sympy.collect(sympy.expand(expansion.removeO()), e, evaluate=False)
+    theirs = {(sympy.degree(key, e) if key.has(e) else 0) - k: c for key, c in collected.items()}
+    for n in set(ours.coeffs) | set(theirs):
+        got = ours.coeffs.get(n)
+        got = to_sympy(got.num) / to_sympy(got.den) if got is not None else 0
+        if sympy.cancel(sympy.together(got - theirs.get(n, 0)), extension=True) != 0:
+            return False
+    return True
+
+
+def test_from_ratfn_matches_sympy_series(seed):
+    rng = rng_for(seed, "oracle-series")
+    symbols = (eps, q_, t_)
+    orders = set()
+    for _ in range(N // 2):
+        f = RatFn(
+            rand_poly(rng, symbols, sqrt2_prob=0.5),
+            rand_poly(rng, symbols, max_terms=3, allow_zero=False, sqrt2_prob=0.5),
+        )
+        trunc = rng.randint(1, 4)
+        assert series_matches_sympy(f, trunc), (f, trunc)
+        orders |= set(EpsSeries.from_ratfn(f, trunc).coeffs)
+    assert min(orders) < 0 < max(orders)
+
+
+def test_degenerate_hamiltonians_match_sympy_series():
+    # the two series numeric degeneration compiles at V->III and IV->II
+    for key in (("V", "III"), ("IV", "II")):
+        arr = arrow(*key)
+        assert series_matches_sympy(degenerate_hamiltonian_exact(arr), arr.trunc), key
