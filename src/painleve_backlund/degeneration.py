@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .exprio import parse_expr
-from .factored import substitute_reduced
 from .groups import Word, _word_on_symbol, fundamental_relations, generator, verify_relation
 from .ratfn import RatFn, ratfn_equal
 from .series import (
@@ -75,7 +74,7 @@ class DegenerationArrow:
         """Rewrite a source-coordinate expression in target coordinates."""
         bindings = dict(self.param_map)
         bindings.update(self.var_forward)
-        return substitute_reduced(f, bindings)
+        return f.substitute(bindings)
 
 
 @dataclass
@@ -505,7 +504,7 @@ def lift_word(
         bindings = dict(pushed)
         bindings[eps] = eps_exact
         lifted.exact_var = {
-            X: substitute_reduced(arr.var_inverse[X], bindings)
+            X: arr.var_inverse[X].substitute(bindings)
             for X in (T_, Q_, P_)
         }
         return lifted
@@ -541,11 +540,11 @@ def _lift_inverse_expr(
     if len(den_slices) != 1:
         raise ValueError("inverse expression denominator mixes eps orders")
     (d, D), = den_slices.items()
-    den_exact = substitute_reduced(RatFn(D), pushed)
+    den_exact = RatFn(D).substitute(pushed)
     eps_var = RatFn.variable(eps)
     pieces = []
     for m, N_m in phi.num.slices(eps).items():
-        exact = (substitute_reduced(RatFn(N_m), pushed) / den_exact) * eps_var ** (m - d)
+        exact = (RatFn(N_m).substitute(pushed) / den_exact) * eps_var ** (m - d)
         pieces.append((exact, m - d))
     return _SlicedAction(pieces, branch_unit)
 
@@ -625,14 +624,14 @@ def _arrow_data_items(arr: DegenerationArrow) -> list[tuple[str, partial, RatFn]
     inv = {**arr.var_inverse, **arr.param_inverse}
     items = [
         (f"inverse({X.name}) o forward = {X.name}",
-         partial(substitute_reduced, arr.var_inverse[X], fwd), RatFn.variable(X))
+         partial(arr.var_inverse[X].substitute, fwd), RatFn.variable(X))
         for X in (T_, Q_, P_)
     ] + [
         (f"forward({v.name}) o inverse = {v.name}",
-         partial(substitute_reduced, arr.var_forward[v], inv), RatFn.variable(v))
+         partial(arr.var_forward[v].substitute, inv), RatFn.variable(v))
         for v in (q_, p_)
     ]
-    t_back = partial(substitute_reduced, arr.var_forward[t_], inv)
+    t_back = partial(arr.var_forward[t_].substitute, inv)
     t_expected = RatFn.variable(t_) if arr.tau_pushforward is None else -RatFn.variable(tau) ** 2
     items.append(("forward(t) o inverse", t_back, t_expected))
     items.append(("forward map symplectic", partial(

@@ -179,17 +179,21 @@ class Poly:
             out[diff ^ GUARDS] = c
         return Poly(out, self.den)
 
+    def div_int(self, n: int) -> "Poly":
+        """Divide by a positive integer."""
+        return self if n == 1 else _join(*_parts(self), self.den * n)
+
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = ONE
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return ONE if result is None else result
 
     def try_div(self, divisor: "Poly") -> "Poly | None":
         """Exact polynomial division; None if the divisor does not divide.

@@ -8,10 +8,7 @@ A RatFn is a pair num/den of polynomials with den != 0.  Canonical form:
 
 No polynomial GCD is computed: equality is decided semantically by
 cross-multiplication, with a randomized evaluation pre-check that can only
-answer "different".  Substitution tracks the denominators it introduces in
-factored form so that the factors shared by the substituted numerator and
-denominator cancel exactly without any GCD machinery; this is what keeps
-composed generator words from blowing up.
+answer "different".  Substitution runs the engine in factored.py.
 """
 
 from __future__ import annotations
@@ -135,30 +132,13 @@ class RatFn:
     def substitute(self, bindings: dict[Symbol, "RatFn"]) -> "RatFn":
         """Simultaneously substitute rational functions for symbols.
 
-        Unbound symbols map to themselves.  Raises DenominatorVanishes if the
+        Unbound symbols map to themselves.  Runs factored.substitute_reduced,
+        which states the reduction rule; raises DenominatorVanishes if the
         composed denominator is identically zero.
         """
-        live = {
-            s: b
-            for s, b in bindings.items()
-            if (self.num.uses(s) or self.den.uses(s)) and not _is_identity(s, b)
-        }
-        if not live:
-            return self
-        num_poly, num_facs = _subst_poly(self.num, live)
-        den_poly, den_facs = _subst_poly(self.den, live)
-        if den_poly.is_zero():
-            raise DenominatorVanishes("substituted denominator is identically zero")
-        # Cancel the tracked denominator factors the two sides share.
-        num_extra = P_ONE
-        den_extra = P_ONE
-        for fac in set(num_facs) | set(den_facs):
-            diff = den_facs.get(fac, 0) - num_facs.get(fac, 0)
-            if diff > 0:
-                num_extra = num_extra * fac**diff
-            elif diff < 0:
-                den_extra = den_extra * fac ** (-diff)
-        return RatFn(num_poly * num_extra, den_poly * den_extra)
+        from .factored import substitute_reduced
+
+        return substitute_reduced(self, bindings)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -190,57 +170,6 @@ class RatFn:
         from .exprio import print_expr
 
         return f"RatFn({print_expr(self)})"
-
-
-def _is_identity(s: Symbol, b: RatFn) -> bool:
-    return b.den.is_one() and b.num == Poly.variable(s)
-
-
-def _subst_poly(
-    poly: Poly, bindings: dict[Symbol, RatFn]
-) -> tuple[Poly, dict[Poly, int]]:
-    """Substitute into a polynomial, returning num and factored denominator.
-
-    The denominator is the product over bound symbols s of den(s)^max_deg(s),
-    kept as a factor -> exponent map so the caller can cancel factors shared
-    between two substituted polynomials exactly.
-    """
-    from .symbols import MASK, SHIFTS
-
-    active = [(s, b) for s, b in bindings.items() if poly.uses(s)]
-    if not active:
-        return poly, {}
-    degs = [poly.max_exponent(s) for s, _ in active]
-    # Power tables for each binding's numerator and denominator.
-    num_pows: list[list[Poly]] = []
-    den_pows: list[list[Poly]] = []
-    for (s, b), d in zip(active, degs):
-        npws = [P_ONE]
-        dpws = [P_ONE]
-        for k in range(d):
-            npws.append(npws[-1] * b.num)
-            dpws.append(dpws[-1] * b.den)
-        num_pows.append(npws)
-        den_pows.append(dpws)
-    shifts = [SHIFTS[s.index] for s, _ in active]
-    result = Poly.zero()
-    for key, c in poly.coefficients():
-        term = Poly.const(c)
-        rest = key
-        for i, sh in enumerate(shifts):
-            e = (key >> sh) & MASK
-            if e:
-                rest -= e << sh
-            term = term * num_pows[i][e]
-            cod = degs[i] - e
-            if cod:
-                term = term * den_pows[i][cod]
-        result = result + term.mul_key(rest)
-    factors: dict[Poly, int] = {}
-    for (s, b), d in zip(active, degs):
-        if d and not b.den.is_one():
-            factors[b.den] = factors.get(b.den, 0) + d
-    return result, factors
 
 
 # Fixed seed: the pre-check must be deterministic run to run.

@@ -1,13 +1,82 @@
-"""The factored substitution engine must agree with plain substitution."""
+"""The substitution engine must agree with plain substitution.
+
+plain_substitute is RatFn.substitute as it was before it ran the factored
+engine: substituted num over substituted den, with only the tracked binding
+denominators cancelled.  It is kept here as the reference.
+"""
 
 import pytest
 
 from painleve_backlund.exprio import parse_expr as P
 from painleve_backlund.factored import FactoredFrac, substitute_reduced
-from painleve_backlund.ratfn import DenominatorVanishes, ratfn_equal
-from painleve_backlund.symbols import p_, q_, t_
+from painleve_backlund.poly import ONE as P_ONE, Poly
+from painleve_backlund.ratfn import DenominatorVanishes, RatFn, ratfn_equal
+from painleve_backlund.symbols import MASK, SHIFTS, p_, q_, t_
 
-from conftest import rand_ratfn, rng_for
+from conftest import rand_poly, rand_ratfn, rng_for
+
+
+def plain_subst_poly(poly, bindings):
+    active = [(s, b) for s, b in bindings.items() if poly.uses(s)]
+    if not active:
+        return poly, {}
+    degs = [poly.max_exponent(s) for s, _ in active]
+    num_pows = []
+    den_pows = []
+    for (s, b), d in zip(active, degs):
+        npws = [P_ONE]
+        dpws = [P_ONE]
+        for k in range(d):
+            npws.append(npws[-1] * b.num)
+            dpws.append(dpws[-1] * b.den)
+        num_pows.append(npws)
+        den_pows.append(dpws)
+    shifts = [SHIFTS[s.index] for s, _ in active]
+    result = Poly.zero()
+    for key, c in poly.coefficients():
+        term = Poly.const(c)
+        rest = key
+        for i, sh in enumerate(shifts):
+            e = (key >> sh) & MASK
+            if e:
+                rest -= e << sh
+            term = term * num_pows[i][e]
+            cod = degs[i] - e
+            if cod:
+                term = term * den_pows[i][cod]
+        result = result + term.mul_key(rest)
+    factors = {}
+    for (s, b), d in zip(active, degs):
+        if d and not b.den.is_one():
+            factors[b.den] = factors.get(b.den, 0) + d
+    return result, factors
+
+
+def plain_substitute(f, bindings):
+    live = {
+        s: b
+        for s, b in bindings.items()
+        if f.uses(s) and not (b.den.is_one() and b.num == Poly.variable(s))
+    }
+    if not live:
+        return f
+    num_poly, num_facs = plain_subst_poly(f.num, live)
+    den_poly, den_facs = plain_subst_poly(f.den, live)
+    if den_poly.is_zero():
+        raise DenominatorVanishes("substituted denominator is identically zero")
+    num_extra = P_ONE
+    den_extra = P_ONE
+    for fac in set(num_facs) | set(den_facs):
+        diff = den_facs.get(fac, 0) - num_facs.get(fac, 0)
+        if diff > 0:
+            num_extra = num_extra * fac**diff
+        elif diff < 0:
+            den_extra = den_extra * fac ** (-diff)
+    return RatFn(num_poly * num_extra, den_poly * den_extra)
+
+
+def size(f):
+    return len(f.num.terms) + len(f.den.terms)
 
 
 def test_round_trip_through_factored_form():
@@ -24,23 +93,33 @@ def test_substitute_matches_plain(seed):
         if any(b.is_zero() for b in bindings.values()):
             continue
         try:
-            plain = f.substitute(bindings)
+            plain = plain_substitute(f, bindings)
         except DenominatorVanishes:
             continue
-        fast = substitute_reduced(f, bindings)
+        fast = f.substitute(bindings)
         assert ratfn_equal(fast, plain)
 
 
 def test_vanishing_denominator_propagates():
     f = P("1/(q - t)")
     with pytest.raises(DenominatorVanishes):
-        substitute_reduced(f, {q_: P("t")})
+        f.substitute({q_: P("t")})
+
+
+def test_zero_over_zero_raises_instead_of_returning_zero():
+    # the carried numerator atom q - t and the denominator atom q both map to 0
+    state = FactoredFrac.from_ratfn(P("1/(p*q)")).substitute({p_: P("1/(q - t)")})
+    assert state.num_facs and state.den_facs
+    with pytest.raises(DenominatorVanishes):
+        state.substitute({q_: P("0"), t_: P("0")})
+    with pytest.raises(DenominatorVanishes):
+        plain_substitute(state.to_ratfn(), {q_: P("0"), t_: P("0")})
 
 
 def test_repeated_factor_cancellation_keeps_sizes_small():
     # a fraction whose numerator hides a power of the binding denominator
     f = P("(q^2 - 2*q + 1)/(p)")
-    out = substitute_reduced(f, {q_: P("1 + 1/p")})
+    out = f.substitute({q_: P("1 + 1/p")})
     assert ratfn_equal(out, P("1/p^3"))
     assert len(out.num.terms) == 1 and len(out.den.terms) == 1
 
@@ -60,10 +139,10 @@ def test_substitute_matches_plain_with_sqrt2_coefficients(seed):
         if any(b.is_zero() for b in bindings.values()):
             continue
         try:
-            plain = f.substitute(bindings)
+            plain = plain_substitute(f, bindings)
         except DenominatorVanishes:
             continue
-        assert ratfn_equal(substitute_reduced(f, bindings), plain)
+        assert ratfn_equal(f.substitute(bindings), plain)
 
 
 def test_word_engine_agrees_with_plain_composition(seed):
@@ -87,5 +166,37 @@ def test_word_engine_agrees_with_plain_composition(seed):
                 from painleve_backlund.groups import generator
 
                 for name in reversed(word):
-                    plain = plain.substitute(generator(label, name).action)
+                    plain = plain_substitute(plain, generator(label, name).action)
                 assert ratfn_equal(via_engine, plain), (label, word, s.name)
+
+
+def test_reduction_rule_follows_the_bindings(seed):
+    # polynomial bindings: exactly the plain form; rational bindings: the
+    # same value, reduced, and never larger than the plain form
+    rng = rng_for(seed, "factored-rule")
+    syms = (q_, p_, t_)
+    for _ in range(120):
+        f = rand_ratfn(rng, syms)
+        polynomial = rng.random() < 0.5
+        bindings = {
+            s: RatFn(rand_poly(rng, syms)) if polynomial else rand_ratfn(rng, syms)
+            for s in (q_, p_)
+        }
+        try:
+            plain = plain_substitute(f, bindings)
+        except DenominatorVanishes:
+            with pytest.raises(DenominatorVanishes):
+                f.substitute(bindings)
+            continue
+        ours = f.substitute(bindings)
+        assert ours == substitute_reduced(f, bindings)
+        if polynomial:
+            assert ours == plain, (f, bindings)
+        else:
+            assert ratfn_equal(ours, plain), (f, bindings)
+            assert size(ours) <= size(plain), (f, bindings)
+    # a case the plain form leaves unreduced: (t+1)(p+1)/(t+1)
+    f = P("q*p + 1")
+    bindings = {q_: P("1/(t + 1)"), p_: P("(t + 1)*p")}
+    assert f.substitute(bindings) == P("p + 1")
+    assert plain_substitute(f, bindings) == P("(t*p + t + p + 1)/(t + 1)")

@@ -1,4 +1,5 @@
-"""Differential tests of the polynomial kernel and eps-series against sympy.
+"""Differential tests of the kernel, substitution, eps-series and limits
+against sympy.
 
 sympy is an independent oracle here and nowhere else: the package never
 imports it.  Every random case comes from the seeded generators in
@@ -7,10 +8,15 @@ conftest, with half of the coefficients carrying a sqrt2 part.
 
 import pytest
 
-from painleve_backlund.degeneration import arrow, degenerate_hamiltonian_exact
-from painleve_backlund.ratfn import RatFn, ratfn_equal
-from painleve_backlund.series import EpsSeries
-from painleve_backlund.symbols import MASK, REGISTRY, SHIFTS, eps, p_, q_, t_
+from painleve_backlund.degeneration import (
+    arrow,
+    degenerate_hamiltonian_exact,
+    lift_generator,
+    target_table_action,
+)
+from painleve_backlund.ratfn import DenominatorVanishes, RatFn, ratfn_equal
+from painleve_backlund.series import DivergesAtZero, EpsSeries, ratfn_limit_eps0
+from painleve_backlund.symbols import MASK, P_, Q_, REGISTRY, SHIFTS, T_, eps, p_, q_, t_
 
 from conftest import rand_poly, rng_for
 
@@ -34,6 +40,15 @@ def to_sympy(poly):
                 term *= sympy.Symbol(s.name) ** e
         total += term
     return total
+
+
+def ratfn_to_sympy(f):
+    return to_sympy(f.num) / to_sympy(f.den)
+
+
+def same_value(expr, f):
+    """expr (sympy) and f (RatFn) are the same rational function."""
+    return sympy.cancel(sympy.together(expr - ratfn_to_sympy(f)), extension=True) == 0
 
 
 def has_sqrt2(poly):
@@ -134,3 +149,66 @@ def test_degenerate_hamiltonians_match_sympy_series():
     for key in (("V", "III"), ("IV", "II")):
         arr = arrow(*key)
         assert series_matches_sympy(degenerate_hamiltonian_exact(arr), arr.trunc), key
+
+
+def test_substitute_matches_sympy_subs(seed):
+    # both sides of the engine's rule: polynomial bindings (no reduction
+    # beyond identical atoms) and rational ones (peeling and trial division)
+    rng = rng_for(seed, "oracle-subst")
+    seen = set()
+    for _ in range(N // 2):
+        f = RatFn(sqrt2_poly(rng), sqrt2_poly(rng, max_terms=2, allow_zero=False))
+        polynomial = rng.random() < 0.5
+        bindings = {
+            s: RatFn(sqrt2_poly(rng, allow_zero=False))
+            if polynomial
+            else RatFn(sqrt2_poly(rng), sqrt2_poly(rng, max_terms=2, allow_zero=False))
+            for s in (q_, p_)
+        }
+        images = {sympy.Symbol(s.name): ratfn_to_sympy(b) for s, b in bindings.items()}
+        num = sympy.together(to_sympy(f.num).subs(images, simultaneous=True))
+        den = sympy.together(to_sympy(f.den).subs(images, simultaneous=True))
+        try:
+            ours = f.substitute(bindings)
+        except DenominatorVanishes:
+            assert sympy.cancel(den, extension=True) == 0, (f, bindings)
+            continue
+        seen.add(polynomial)
+        assert same_value(num / den, ours), (f, bindings)
+    assert seen == {True, False}
+
+
+def test_limit_eps0_matches_sympy_limit(seed):
+    rng = rng_for(seed, "oracle-limit")
+    e = sympy.Symbol(eps.name)
+    kinds = set()
+    for _ in range(N // 2):
+        f = RatFn(
+            rand_poly(rng, (eps, q_), sqrt2_prob=0.5, allow_zero=False),
+            rand_poly(rng, (eps, q_), max_terms=3, allow_zero=False, sqrt2_prob=0.5),
+        )
+        expr = ratfn_to_sympy(f)
+        try:
+            ours = ratfn_limit_eps0(f)
+        except DivergesAtZero as exc:
+            # eps^-order * f has the finite nonzero limit exc.coeff
+            kinds.add("diverges")
+            assert exc.order < 0 and not exc.coeff.is_zero()
+            assert same_value(sympy.limit(expr * e ** (-exc.order), e, 0), exc.coeff), f
+            continue
+        kinds.add("zero" if ours.is_zero() else "finite")
+        assert same_value(sympy.limit(expr, e, 0), ours), f
+    assert kinds == {"diverges", "zero", "finite"}
+
+
+@pytest.mark.parametrize("key", [("VI", "V"), ("V", "III")])
+def test_exact_lift_limits_match_sympy_limit(key):
+    # every limit/* check id of the exact-lift arrows, with sympy taking the
+    # eps -> 0 limit of the exact lifted action
+    arr = arrow(*key)
+    e = sympy.Symbol(eps.name)
+    for name in arr.subgroup_words:
+        exact = lift_generator(arr, name).exact_var
+        for X in (T_, Q_, P_):
+            theirs = sympy.limit(ratfn_to_sympy(exact[X]), e, 0)
+            assert same_value(theirs, target_table_action(arr, name, X)), (key, name, X)
