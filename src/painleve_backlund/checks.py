@@ -1,9 +1,7 @@
 """Catalog of verification checks, addressable by string id.
 
-Check ids make the work distributable: the CLI builds an id list, a worker
-pool maps run_check over it (ids, the eps truncation order and the returned
-CheckRecords are picklable), and the report takes the records in catalog
-order.  Ids look like
+The CLI builds an id list and runs run_check on each id in catalog order.
+Ids look like
 
     groups/VI/relation/(s0 s2)^3
     groups/II/gen/s0/symplectic
@@ -85,7 +83,7 @@ def run_check(check_id: str, order: int | None = None) -> CheckRecord:
             return _run_group_check(check_id, parts)
         if parts[0] == "degen":
             return _run_degen_check(check_id, parts, order)
-    except Exception as exc:  # surface, never crash the pool
+    except Exception as exc:  # an error record; the rest of the report still runs
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         return _record(

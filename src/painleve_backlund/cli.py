@@ -5,17 +5,16 @@
     painleve-backlund numeric backlund --system II --gen s1
     painleve-backlund numeric degeneration --arrow V III --eps 1e-3
 
-Exit code is 0 exactly when no check failed.  Symbolic checks are
-independent and dispatch to a process pool (--jobs); numeric checks run
-inline.  The JSON report validates against report_schema.json.
+Exit code is 0 exactly when no check failed.  Every check runs in this
+process, symbolic ones in catalog order.  The JSON report validates
+against report_schema.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from functools import partial
 
 from . import __version__
 from .numeric import NearPole, backlund_numeric_check, degeneration_numeric_check
@@ -47,21 +46,6 @@ def _new_report(config: dict) -> Report:
     return Report("painleve-backlund", __version__, config)
 
 
-def _run_ids(report: Report, ids: list[str], jobs: int, order: int | None = None) -> None:
-    from . import checks as ck
-
-    run = partial(ck.run_check, order=order)  # a partial of a module function pickles
-    if jobs > 1 and len(ids) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, ids))
-    else:
-        records = [run(check_id) for check_id in ids]
-    for rec in records:
-        report.add(rec)
-
-
 def _emit(report: Report, fmt: str) -> int:
     if fmt == "json":
         print(report.render_json())
@@ -83,10 +67,9 @@ def cmd_verify_groups(args) -> int:
             )
     report = _new_report({"systems": ",".join(labels), "jobs": args.jobs,
                           "seed": args.seed})
-    ids: list[str] = []
     for label in labels:
-        ids += ck.group_check_ids(label)
-    _run_ids(report, ids, args.jobs)
+        for check_id in ck.group_check_ids(label):
+            report.add(ck.run_check(check_id))
     return _emit(report, args.format)
 
 
@@ -110,8 +93,8 @@ def cmd_degenerate(args) -> int:
         "arrow": arr.name, "what": args.what, "order": arr.trunc,
         "jobs": args.jobs, "seed": args.seed,
     })
-    ids = ck.arrow_check_ids(arr, args.what)
-    _run_ids(report, ids, args.jobs, args.order)
+    for check_id in ck.arrow_check_ids(arr, args.what):
+        report.add(ck.run_check(check_id, args.order))
     return _emit(report, args.format)
 
 
@@ -126,8 +109,9 @@ def _parse_params(text: str, label: str) -> tuple[float, ...]:
         params = tuple(float(x) for x in text.split(","))
     except ValueError:
         params = ()
-    if len(params) != n:
-        raise ValueError(f"--params expects {n} comma-separated numbers for P_{label}")
+    if len(params) != n or not all(map(math.isfinite, params)):
+        raise ValueError(
+            f"--params expects {n} comma-separated finite numbers for P_{label}")
     return params
 
 
@@ -238,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="only echoed into the report; every check runs in"
+                            " this process")
         p.add_argument("--seed", type=int, default=0,
                        help="seed echoed into the report for reproducibility")
 
@@ -296,8 +282,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.jobs < 1:
         return _input_error(f"--jobs must be at least 1, got {args.jobs}")
-    if not getattr(args, "h", 1.0) > 0:  # also refuses nan
-        return _input_error(f"--h must be a positive step, got {args.h}")
+    for name in ("h", "eps"):
+        value = getattr(args, name, 1.0)
+        if not 0 < value < math.inf:  # also refuses nan
+            return _input_error(f"--{name} must be positive and finite, got {value}")
+    for name in ("t1", "tol"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            return _input_error(f"--{name} must be finite, got {value}")
+    initial = getattr(args, "initial", None)
+    if initial is not None and not all(map(math.isfinite, initial)):
+        return _input_error(
+            f"--initial must be finite, got {','.join(map(str, initial))}")
     return args.func(args)
 
 

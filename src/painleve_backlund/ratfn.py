@@ -43,9 +43,9 @@ class RatFn:
         if content:
             num = num.div_key(content)
             den = den.div_key(content)
-        lead = den.leading_coeff()
-        if not (lead.a == 1 and not lead.b):
-            inv = lead.inverse()
+        lead = den.terms[den.leading_key()]  # over den.den, maybe a pair (a, b)
+        if lead not in (den.den, (den.den, 0)):
+            inv = den.leading_coeff().inverse()
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num

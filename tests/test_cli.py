@@ -88,14 +88,21 @@ def test_numeric_bad_generator(capsys):
     assert code == 2
 
 
-def test_parallel_jobs_match_serial(capsys):
-    code1, out1 = run_cli(capsys, "verify-groups", "--system", "IV", "--jobs", "1")
-    code2, out2 = run_cli(capsys, "verify-groups", "--system", "IV", "--jobs", "2")
-    assert code1 == code2 == 0
+@pytest.mark.parametrize("argv", [
+    ("verify-groups", "--system", "IV"),
+    ("degenerate", "IV", "II", "--what", "params"),
+], ids=["verify-groups", "degenerate"])
+def test_jobs_value_leaves_the_checks_unchanged(capsys, argv):
+    runs = [run_cli(capsys, *argv, *jobs) for jobs in ((), ("--jobs", "1"), ("--jobs", "2"))]
+    assert [code for code, _ in runs] == [0, 0, 0]
     # identical check records in identical order; only the config echo differs
-    checks1 = [line for line in out1.splitlines() if line.startswith("[")]
-    checks2 = [line for line in out2.splitlines() if line.startswith("[")]
-    assert checks1 == checks2 and checks1
+    checks = [[line for line in out.splitlines() if line.startswith("[")]
+              for _, out in runs]
+    assert checks[0] and checks[0] == checks[1] == checks[2]
+    # --jobs defaults to 1, so the default report is the --jobs 1 report
+    _, default_json = run_cli(capsys, *argv, "--format", "json")
+    _, serial_json = run_cli(capsys, *argv, "--format", "json", "--jobs", "1")
+    assert default_json == serial_json
 
 
 def test_near_pole_becomes_a_skip_record(capsys):
@@ -169,6 +176,30 @@ def test_nonpositive_step_is_refused(capsys):
                        "--gen", "s1", "--h", "0")
     assert_input_error(capsys, "numeric", "degeneration", "--arrow", "V", "III",
                        "--h=-1e-3")
+
+
+@pytest.mark.parametrize("option", [
+    ("--t1", "nan"), ("--t1", "inf"), ("--t1=-inf",), ("--initial", "nan,1.0,1.0"),
+    ("--initial", "0.0,inf,1.0"), ("--params", "nan,0.3"), ("--params", "0.3,inf"),
+    ("--h", "inf"), ("--h", "nan"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_numeric_backlund_refuses_nonfinite_input(capsys, option):
+    # a non-finite t1 or step count crashes integrate, and the P_II flow
+    # never reads alpha0, so a nan there would pass as ok
+    assert_input_error(capsys, "numeric", "backlund", "--system", "II",
+                       "--gen", "s1", *option)
+
+
+@pytest.mark.parametrize("option", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"), ("--eps=-1e-3",),
+    ("--h", "inf"), ("--t1", "nan"), ("--tol", "inf"),
+    ("--initial", "1.0,0.5,nan"), ("--params", "0.3,nan,0.3"),
+])
+def test_numeric_degeneration_refuses_bad_eps_and_nonfinite_input(capsys, option):
+    # a nan or inf eps reads as a pole (a skip with exit 0), and eps 0 sets
+    # the default tolerance 10*eps to 0
+    assert_input_error(capsys, "numeric", "degeneration", "--arrow", "V", "III",
+                       *option)
 
 
 def test_wrong_params_count_is_refused(capsys):

@@ -1,4 +1,5 @@
-"""Start-up loads only what the command runs.
+"""Start-up loads only what the command runs, and every command runs in
+one process.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported every module.
@@ -14,8 +15,10 @@ import painleve_backlund
 
 SRC = Path(painleve_backlund.__file__).resolve().parents[1]
 
-LAZY = (
-    "concurrent.futures.process",
+# no command starts worker processes, so these stay unloaded throughout
+IN_PROCESS = ("concurrent.futures.process", "multiprocessing")
+
+LAZY = IN_PROCESS + (
     "painleve_backlund.degeneration",
     "painleve_backlund.checks",
     "painleve_backlund.series",
@@ -37,8 +40,14 @@ import painleve_backlund as pb
 import painleve_backlund.degeneration as dg
 built = dg._default_arrows.cache_info().currsize
 missing = [name for name in pb.__all__ if not hasattr(pb, name)]
+
+# no --jobs: the default runs every symbolic check in this process
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(["verify-groups", "--system", "II"]),
+           cli.main(["degenerate", "IV", "II", "--what", "params"])]
+workers = [m for m in {IN_PROCESS!r} if m in sys.modules]
 print(json.dumps(dict(after_import=after_import, rc=rc, after_numeric=after_numeric,
-                      built=built, missing=missing)))
+                      built=built, missing=missing, rcs=rcs, workers=workers)))
 """
 
 
@@ -52,4 +61,5 @@ def test_start_up_loads_only_what_the_command_runs():
     state = json.loads(proc.stdout.splitlines()[-1])
     assert state == {
         "after_import": [], "rc": 0, "after_numeric": [], "built": 0, "missing": [],
+        "rcs": [0, 0], "workers": [],
     }
