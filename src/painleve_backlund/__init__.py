@@ -63,24 +63,4 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "QSqrt2", "Symbol", "sym", "Poly", "MonomialOverflow", "RatFn", "ratfn_equal",
-    "DivisionByZero", "DenominatorVanishes",
-    "EpsSeries", "binomial_series", "series_equal", "DivergesAtZero",
-    "DivisionByZeroSeries", "FloorExceeded", "NonpositiveValuation",
-    "NotExpandable",
-    "parse_expr", "print_expr", "print_series", "load_fixtures",
-    "ExprSyntaxError", "UnknownSymbol",
-    "PainleveSystem", "UnsupportedSystem", "system", "hamiltonian",
-    "poisson_bracket", "derivation_apply",
-    "BacklundGen", "generators", "generator", "apply_word",
-    "fundamental_relations", "verify_relation", "verify_symplectic",
-    "verify_commutes_with_derivation", "verify_constraint_preserved",
-    "DegenerationArrow", "LiftedGenerator", "UnsupportedArrow", "arrow",
-    "arrows", "lift_generator", "lift_word", "limit_action",
-    "degenerate_hamiltonian", "hamiltonian_limit",
-    "transformed_system_factor", "verify_subgroup_relations",
-    "NearPole", "Trajectory", "integrate", "eval_ratfn",
-    "backlund_numeric_check", "degeneration_numeric_check",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

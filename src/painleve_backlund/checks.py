@@ -30,9 +30,6 @@ from .series import DivergesAtZero
 from .symbols import A, P_, Q_, T_, p_, q_
 from .systems import poisson_bracket, system
 
-GROUPS = ("VI", "V", "IV", "III", "II")
-
-
 def group_check_ids(label: str) -> list[str]:
     ids = [f"groups/{label}/relation/{rel}" for rel, _ in gr.fundamental_relations(label)]
     for g in gr.generators(label):
@@ -74,7 +71,7 @@ def arrow_check_ids(arr: dg.DegenerationArrow, what: str = "all") -> list[str]:
 def run_check(check_id: str, order: int | None = None) -> CheckRecord:
     """Execute one catalog check and return its report record.
 
-    order overrides the eps truncation of a degeneration arrow (None keeps
+    order sets the eps truncation of a degeneration arrow (None keeps
     the arrow's default); group checks ignore it.
     """
     parts = check_id.split("/")

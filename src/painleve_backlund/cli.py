@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 from . import __version__
 from .numeric import NearPole, backlund_numeric_check, degeneration_numeric_check
-from .groups import generator
+from .groups import GROUP_LABELS, generator
 from .report import CheckRecord, Report
 from .systems import UnsupportedSystem, system
 
@@ -57,9 +58,9 @@ def _emit(report: Report, fmt: str) -> int:
 def cmd_verify_groups(args) -> int:
     from . import checks as ck
 
-    labels = ck.GROUPS if args.system in (None, "all") else (args.system,)
+    labels = GROUP_LABELS if args.system in (None, "all") else (args.system,)
     for label in labels:
-        if label not in ck.GROUPS:
+        if label not in GROUP_LABELS:
             return _input_error(
                 f"no Backlund group for P_{label}"
                 + (" (P_I has no nontrivial Backlund transformations)"
@@ -78,15 +79,16 @@ def cmd_degenerate(args) -> int:
     from . import degeneration as dg
 
     try:
-        arr = dg.arrow(args.source, args.target)
+        power = dg.arrow_data(args.source, args.target)["eps_power"]
     except dg.UnsupportedArrow as exc:
         return _input_error(str(exc))
-    if args.order is not None and args.order <= arr.eps_power:
+    if args.order is not None and args.order <= power:
         # at eps^k the S(eps)^k comparisons keep only the leading term, so a
         # wrong eps branch passes; below it they compare nothing
         return _input_error(
-            f"--order {args.order} is not above the eps power {arr.eps_power}"
-            f" of {arr.name}; its branch checks need order {arr.eps_power + 1}"
+            f"--order {args.order} is not above the eps power {power}"
+            f" of {args.source}->{args.target}; its branch checks need order"
+            f" {power + 1}"
         )
     arr = dg.arrow(args.source, args.target, order=args.order)
     report = _new_report({
@@ -122,13 +124,38 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
-def cmd_numeric_backlund(args) -> int:
-    label = args.system
-    try:
-        gen = generator(label, args.gen)
-    except (UnsupportedSystem, KeyError) as exc:
-        return _input_error(str(exc))
-    params, initial, t1 = NUMERIC_DEFAULTS[label]
+def cmd_numeric(args) -> int:
+    """numeric backlund and numeric degeneration: one flow comparison each."""
+    command = args.numeric_command
+    if command == "backlund":
+        label = args.system
+        try:
+            gen = generator(label, args.gen)
+        except (UnsupportedSystem, KeyError) as exc:
+            return _input_error(str(exc))
+        params, initial, t1 = NUMERIC_DEFAULTS[label]
+        head = {"system": label, "generator": args.gen}
+        tol, at_eps = args.tol, ""
+        check_id, subject, source = (
+            f"numeric/backlund/{label}/{args.gen}", f"P_{label} {args.gen}",
+            f"flow of P_{label}")
+        check = partial(backlund_numeric_check, label, gen)
+    else:
+        from . import degeneration as dg
+
+        try:
+            arr = dg.arrow(*args.arrow)
+        except dg.UnsupportedArrow as exc:
+            return _input_error(str(exc))
+        label = arr.target
+        params, initial, t1 = DEGEN_NUMERIC_DEFAULTS[(arr.source, arr.target)]
+        head = {"arrow": arr.name, "eps": args.eps}
+        tol = args.tol if args.tol is not None else 10 * args.eps
+        at_eps = f" at eps={args.eps:g}"
+        check_id, subject, source = (
+            f"numeric/degeneration/{arr.source}-{arr.target}", arr.name,
+            f"flows of {arr.name} vs P_{arr.target}")
+        check = partial(degeneration_numeric_check, arr, args.eps)
     if args.params is not None:
         try:
             params = _parse_params(args.params, label)
@@ -138,74 +165,31 @@ def cmd_numeric_backlund(args) -> int:
         initial = args.initial
     if args.t1 is not None:
         t1 = args.t1
-    if args.dump_csv:
+    if t1 == initial[0]:
+        return _input_error(
+            f"--t1 {t1} equals the start time t0 = {initial[0]}: the window is empty")
+    if getattr(args, "dump_csv", None):
         from .numeric import integrate
 
         integrate(label, params, initial, t1, args.h).to_csv(args.dump_csv)
     report = _new_report({
-        "system": label, "generator": args.gen, "h": args.h, "tol": args.tol,
+        **head, "h": args.h, "tol": tol,
         "params": ",".join(str(v) for v in params),
         "initial": ",".join(str(v) for v in initial), "t1": t1,
         "seed": args.seed,
     })
-    check_id = f"numeric/backlund/{label}/{args.gen}"
+    kind = f"numeric-{command}"
     try:
-        dev = backlund_numeric_check(label, gen, params, initial, t1, args.h)
-        outcome = "pass" if dev < args.tol else "fail"
-        report.add(CheckRecord(
-            check_id, "numeric-backlund", f"P_{label} {args.gen}",
-            f"flow of P_{label}", outcome,
-            detail=f"max deviation {dev:.3e} vs tolerance {args.tol:.1e}",
-            witness=None if outcome == "pass" else f"deviation {dev:.6e}",
-        ))
-    except NearPole as exc:
-        report.add(CheckRecord(
-            check_id, "numeric-backlund", f"P_{label} {args.gen}",
-            f"flow of P_{label}", "skip",
-            detail=f"near pole: {exc}", witness=str(exc.at),
-        ))
-    return _emit(report, args.format)
-
-
-def cmd_numeric_degeneration(args) -> int:
-    from . import degeneration as dg
-
-    try:
-        arr = dg.arrow(args.arrow[0], args.arrow[1])
-    except dg.UnsupportedArrow as exc:
-        return _input_error(str(exc))
-    params, initial, t1 = DEGEN_NUMERIC_DEFAULTS[(arr.source, arr.target)]
-    if args.params is not None:
-        try:
-            params = _parse_params(args.params, arr.target)
-        except ValueError as exc:
-            return _input_error(str(exc))
-    if args.initial is not None:
-        initial = args.initial
-    if args.t1 is not None:
-        t1 = args.t1
-    tol = args.tol if args.tol is not None else 10 * args.eps
-    report = _new_report({
-        "arrow": arr.name, "eps": args.eps, "h": args.h, "tol": tol,
-        "params": ",".join(str(v) for v in params),
-        "initial": ",".join(str(v) for v in initial), "t1": t1,
-        "seed": args.seed,
-    })
-    check_id = f"numeric/degeneration/{arr.source}-{arr.target}"
-    try:
-        dev = degeneration_numeric_check(arr, args.eps, params, initial, t1, args.h)
+        dev = check(params, initial, t1, args.h)
         outcome = "pass" if dev < tol else "fail"
         report.add(CheckRecord(
-            check_id, "numeric-degeneration", arr.name,
-            f"flows of {arr.name} vs P_{arr.target}", outcome,
-            detail=f"max deviation {dev:.3e} at eps={args.eps:g}"
-                   f" vs tolerance {tol:.1e}",
+            check_id, kind, subject, source, outcome,
+            detail=f"max deviation {dev:.3e}{at_eps} vs tolerance {tol:.1e}",
             witness=None if outcome == "pass" else f"deviation {dev:.6e}",
         ))
     except NearPole as exc:
         report.add(CheckRecord(
-            check_id, "numeric-degeneration", arr.name,
-            f"flows of {arr.name} vs P_{arr.target}", "skip",
+            check_id, kind, subject, source, "skip",
             detail=f"near pole: {exc}", witness=str(exc.at),
         ))
     return _emit(report, args.format)
@@ -260,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     nb.add_argument("--dump-csv", default=None, metavar="PATH",
                     help="write the base trajectory as CSV (t,q,p)")
     common(nb)
-    nb.set_defaults(func=cmd_numeric_backlund)
+    nb.set_defaults(func=cmd_numeric)
 
     nd = nsub.add_parser("degeneration",
                          help="compare the degenerate flow with the target flow")
@@ -273,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     nd.add_argument("--initial", type=_parse_triple, default=None)
     nd.add_argument("--t1", type=float, default=None)
     common(nd)
-    nd.set_defaults(func=cmd_numeric_degeneration)
+    nd.set_defaults(func=cmd_numeric)
 
     return parser
 

@@ -5,7 +5,9 @@ the forward variable maps (t, q, p) -> (A, eps, T, Q, P), the inverse maps
 (T, Q, P) expressed in source coordinates, the subgroup words S_i in W_J,
 the declared branch series for S_i(eps), and the Hamiltonian/derivation
 rescale.  Inverse maps were derived by solving the forward maps and are
-pinned by round-trip checks.
+pinned by round-trip checks.  An arrow is parsed from its data on first
+use, once per truncation order, so a command builds only the arrow it
+checks.
 
 Lifted actions are computed by conjugation, never transcribed: express the
 target symbol in source coordinates, act by the word exactly in W_J, push
@@ -35,9 +37,6 @@ from .series import (
 )
 from .symbols import A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, sym, t_, tau
 from .systems import system
-
-ARROW_KEYS = (("VI", "V"), ("V", "IV"), ("V", "III"), ("IV", "II"), ("III", "II"))
-
 
 class UnsupportedArrow(ValueError):
     """A degeneration square outside the five supported arrows."""
@@ -152,59 +151,35 @@ class LiftedGenerator:
 # ----------------------------------------------------------------------
 # arrow data
 
-def _eps_branch(prefix_eps: str, inner: str, power, trunc: int) -> EpsSeries:
-    """eps * (1 + inner)^power as a declared branch series.
-
-    Built with two orders of headroom so shifted products downstream still
-    reach the arrow's truncation order.
-    """
-    x = EpsSeries.from_ratfn(parse_expr(inner), trunc + 2)
-    series = binomial_series(x, power, trunc + 2)
-    if prefix_eps == "-eps":
-        series = -series
-    return series.shift(1)
-
-
-def _build_arrows(
-    overrides: dict[tuple[str, str], int] | None = None
-) -> dict[tuple[str, str], DegenerationArrow]:
-    arrows = {}
-    overrides = overrides or {}
-
-    def P(s):  # parse shorthand
-        return parse_expr(s)
-
-    def smap(names_exprs: dict[str, str]) -> dict[Symbol, RatFn]:
-        return {sym(k): P(v) for k, v in names_exprs.items()}
-
-    # ---- VI -> V ------------------------------------------------------
-    trunc = overrides.get(("VI", "V"), 8)
-    arrows[("VI", "V")] = DegenerationArrow(
-        source="VI",
-        target="V",
-        param_map=smap({
+# Each arrow as written, with its default truncation order.  An eps_action
+# entry is the declared branch of S_i(eps): a rational image of eps, or
+# (inner, power) for the branch eps * (1 + inner)^power.
+_ARROW_DATA = {
+    ("VI", "V"): dict(
+        trunc=8,
+        param_map={
             "alpha0": "1/eps",
             "alpha1": "A3",
             "alpha2": "A2",
             "alpha3": "A0 - A2 - 1/eps",
             "alpha4": "A1",
-        }),
-        param_inverse=smap({
+        },
+        param_inverse={
             "A0": "alpha0 + alpha2 + alpha3",
             "A1": "alpha4",
             "A2": "alpha2",
             "A3": "alpha1",
-        }),
-        var_forward=smap({
+        },
+        var_forward={
             "t": "1 + eps*T",
             "q": "Q/(Q-1)",
             "p": "-(Q-1)*(A2 + (Q-1)*P)",
-        }),
-        var_inverse=smap({
+        },
+        var_inverse={
             "T": "(t-1)/eps",
             "Q": "q/(q-1)",
             "P": "-(q-1)*(alpha2 + (q-1)*p)",
-        }),
+        },
         subgroup_words={
             "S0": ("s0", "s2", "s3", "s2", "s0"),
             "S1": ("s4",),
@@ -213,46 +188,38 @@ def _build_arrows(
         },
         alt_words={"S0": ("s3", "s2", "s0", "s2", "s3")},
         eps_action={
-            "S0": EpsSeries.from_ratfn(P("eps/(1 - A0*eps)"), trunc + 2),
-            "S1": EpsSeries.from_ratfn(P("eps"), trunc + 2),
-            "S2": EpsSeries.from_ratfn(P("eps/(1 + A2*eps)"), trunc + 2),
-            "S3": EpsSeries.from_ratfn(P("eps"), trunc + 2),
+            "S0": "eps/(1 - A0*eps)",
+            "S1": "eps",
+            "S2": "eps/(1 + A2*eps)",
+            "S3": "eps",
         },
         eps_power=1,
-        eps_in_source=P("1/alpha0"),
-        tau_pushforward=None,
-        tau_signs={},
-        deriv_rescale=P("1 + eps*T"),
-        ham_shift=P("0"),
-        trunc=trunc,
-    )
-
-    # ---- V -> IV ------------------------------------------------------
-    trunc = overrides.get(("V", "IV"), 12)
-    arrows[("V", "IV")] = DegenerationArrow(
-        source="V",
-        target="IV",
-        param_map=smap({
+        eps_in_source="1/alpha0",
+        deriv_rescale="1 + eps*T",
+    ),
+    ("V", "IV"): dict(
+        trunc=12,
+        param_map={
             "alpha0": "A0 + 1/(2*eps^2)",
             "alpha1": "A1",
             "alpha2": "A2",
             "alpha3": "-1/(2*eps^2)",
-        }),
-        param_inverse=smap({
+        },
+        param_inverse={
             "A0": "alpha0 + alpha3",
             "A1": "alpha1",
             "A2": "alpha2",
-        }),
-        var_forward=smap({
+        },
+        var_forward={
             "t": "(1 + 2*eps*T)/(2*eps^2)",
             "q": "-eps*Q/(1 - eps*Q)",
             "p": "-(1 - eps*Q)*(P - eps*(A2 + Q*P))/eps",
-        }),
-        var_inverse=smap({
+        },
+        var_inverse={
             "T": "(2*eps^2*t - 1)/(2*eps)",
             "Q": "q/(eps*(q-1))",
             "P": "-eps*(q-1)*(p*(q-1) + alpha2)",
-        }),
+        },
         subgroup_words={
             "S0": ("s3", "s0", "s3"),
             "S1": ("s1",),
@@ -260,45 +227,37 @@ def _build_arrows(
         },
         alt_words={"S0": ("s0", "s3", "s0")},
         eps_action={
-            "S0": _eps_branch("eps", "2*A0*eps^2", "-1/2", trunc),
-            "S1": EpsSeries.from_ratfn(P("eps"), trunc + 2),
-            "S2": _eps_branch("eps", "-2*A2*eps^2", "-1/2", trunc),
+            "S0": ("2*A0*eps^2", "-1/2"),
+            "S1": "eps",
+            "S2": ("-2*A2*eps^2", "-1/2"),
         },
         eps_power=2,
-        eps_in_source=P("-1/(2*alpha3)"),
-        tau_pushforward=None,
-        tau_signs={},
-        deriv_rescale=P("(1 + 2*eps*T)/(2*eps)"),
-        ham_shift=P("0"),
-        trunc=trunc,
-    )
-
-    # ---- V -> III -----------------------------------------------------
-    trunc = overrides.get(("V", "III"), 8)
-    arrows[("V", "III")] = DegenerationArrow(
-        source="V",
-        target="III",
-        param_map=smap({
+        eps_in_source="-1/(2*alpha3)",
+        deriv_rescale="(1 + 2*eps*T)/(2*eps)",
+    ),
+    ("V", "III"): dict(
+        trunc=8,
+        param_map={
             "alpha0": "A2",
             "alpha1": "1/eps",
             "alpha2": "A0",
             "alpha3": "2*A1 - 1/eps",
-        }),
-        param_inverse=smap({
+        },
+        param_inverse={
             "A0": "alpha2",
             "A1": "(alpha1 + alpha3)/2",
             "A2": "alpha0",
-        }),
-        var_forward=smap({
+        },
+        var_forward={
             "t": "-eps*T",
             "q": "1 + Q/(eps*T)",
             "p": "eps*T*P",
-        }),
-        var_inverse=smap({
+        },
+        var_inverse={
             "T": "-t/eps",
             "Q": "-t*(q-1)",
             "P": "-p/t",
-        }),
+        },
         subgroup_words={
             "S0": ("s2",),
             "S1": ("s3", "s1"),
@@ -306,128 +265,142 @@ def _build_arrows(
         },
         alt_words={"S1": ("s1", "s3")},
         eps_action={
-            "S0": EpsSeries.from_ratfn(P("eps/(1 + A0*eps)"), trunc + 2),
-            "S1": EpsSeries.from_ratfn(P("-eps"), trunc + 2),
-            "S2": EpsSeries.from_ratfn(P("eps/(1 + A2*eps)"), trunc + 2),
+            "S0": "eps/(1 + A0*eps)",
+            "S1": "-eps",
+            "S2": "eps/(1 + A2*eps)",
         },
         eps_power=1,
-        eps_in_source=P("1/alpha1"),
-        tau_pushforward=None,
-        tau_signs={},
-        deriv_rescale=P("1"),
-        ham_shift=P("Q*P"),
-        trunc=trunc,
-    )
-
-    # ---- IV -> II -----------------------------------------------------
-    trunc = overrides.get(("IV", "II"), 12)
-    arrows[("IV", "II")] = DegenerationArrow(
-        source="IV",
-        target="II",
-        param_map=smap({
+        eps_in_source="1/alpha1",
+        deriv_rescale="1",
+        ham_shift="Q*P",
+    ),
+    ("IV", "II"): dict(
+        trunc=12,
+        param_map={
             "alpha0": "A0 - 1/(4*eps^6)",
             "alpha1": "1/(4*eps^6)",
             "alpha2": "A1",
-        }),
-        param_inverse=smap({
+        },
+        param_inverse={
             "A0": "alpha0 + alpha1",
             "A1": "alpha2",
-        }),
-        var_forward=smap({
+        },
+        var_forward={
             "t": "-(1 - eps^4*T)/(sqrt2*eps^3)",
             "q": "(1 + 2*eps^2*Q)/(sqrt2*eps^3)",
             "p": "eps*P/sqrt2",
-        }),
-        var_inverse=smap({
+        },
+        var_inverse={
             "T": "(1 + sqrt2*eps^3*t)/eps^4",
             "Q": "(sqrt2*eps^3*q - 1)/(2*eps^2)",
             "P": "sqrt2*p/eps",
-        }),
+        },
         subgroup_words={
             "S0": ("s0", "s1", "s0"),
             "S1": ("s2",),
         },
         alt_words={"S0": ("s1", "s0", "s1")},
         eps_action={
-            "S0": _eps_branch("eps", "-4*A0*eps^6", "-1/6", trunc),
-            "S1": _eps_branch("eps", "4*A1*eps^6", "-1/6", trunc),
+            "S0": ("-4*A0*eps^6", "-1/6"),
+            "S1": ("4*A1*eps^6", "-1/6"),
         },
         eps_power=6,
-        eps_in_source=P("1/(4*alpha1)"),
-        tau_pushforward=None,
-        tau_signs={},
-        deriv_rescale=P("sqrt2/eps"),
-        ham_shift=P("0"),
-        trunc=trunc,
-    )
-
-    # ---- III -> II ----------------------------------------------------
+        eps_in_source="1/(4*alpha1)",
+        deriv_rescale="sqrt2/eps",
+    ),
     # The variable change composes t = -tau^2, q = -tau/x, p = (x/tau)(A1+xy)
     # with tau = (1+eps^2 T)/(4 eps^3), x = 1+2 eps Q, y = P/(2 eps).
-    trunc = overrides.get(("III", "II"), 12)
-    arrows[("III", "II")] = DegenerationArrow(
-        source="III",
-        target="II",
-        param_map=smap({
+    ("III", "II"): dict(
+        trunc=12,
+        param_map={
             "alpha0": "A1",
             "alpha1": "1/(4*eps^3)",
             "alpha2": "A0 - 1/(2*eps^3)",
-        }),
-        param_inverse=smap({
+        },
+        param_inverse={
             "A0": "alpha2 + 2*alpha1",
             "A1": "alpha0",
-        }),
-        var_forward=smap({
+        },
+        var_forward={
             "t": "-(1 + eps^2*T)^2/(16*eps^6)",
             "q": "-(1 + eps^2*T)/(4*eps^3*(1 + 2*eps*Q))",
             "p": "2*eps^2*(1 + 2*eps*Q)*(P + 2*eps*A1 + 2*eps*Q*P)/(1 + eps^2*T)",
-        }),
-        var_inverse=smap({
+        },
+        var_inverse={
             "T": "(4*eps^3*tau - 1)/eps^2",
             "Q": "-(tau + q)/(2*eps*q)",
             "P": "2*eps*q*(p*q + alpha0)/tau",
-        }),
+        },
         subgroup_words={
             "S0": ("s2", "s1", "s2", "s1"),
             "S1": ("s0",),
         },
         alt_words={"S0": ("s1", "s2", "s1", "s2")},
         eps_action={
-            "S0": EpsSeries.from_ratfn(P("-eps"), trunc + 2),
-            "S1": _eps_branch("eps", "4*A1*eps^3", "-1/3", trunc),
+            "S0": "-eps",
+            "S1": ("4*A1*eps^3", "-1/3"),
         },
         eps_power=3,
-        eps_in_source=P("1/(4*alpha1)"),
-        tau_pushforward=P("(1 + eps^2*T)/(4*eps^3)"),
+        eps_in_source="1/(4*alpha1)",
+        tau_pushforward="(1 + eps^2*T)/(4*eps^3)",
         tau_signs={"S0": -1, "S1": 1},
-        deriv_rescale=P("(1 + eps^2*T)/(2*eps^2)"),
-        ham_shift=P("0"),
+        deriv_rescale="(1 + eps^2*T)/(2*eps^2)",
+    ),
+}
+
+ARROW_KEYS = tuple(_ARROW_DATA)
+
+
+def _eps_branch(inner: str, power, trunc: int) -> EpsSeries:
+    """eps * (1 + inner)^power as a declared branch series.
+
+    Built with two orders of headroom so shifted products downstream still
+    reach the arrow's truncation order.
+    """
+    x = EpsSeries.from_ratfn(parse_expr(inner), trunc + 2)
+    return binomial_series(x, power, trunc + 2).shift(1)
+
+
+@cache
+def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
+    """One arrow at one truncation order, parsed from its data on first use."""
+    data = _ARROW_DATA[key]
+
+    def smap(names_exprs: dict[str, str]) -> dict[Symbol, RatFn]:
+        return {sym(k): parse_expr(v) for k, v in names_exprs.items()}
+
+    def branch(image) -> EpsSeries:
+        if isinstance(image, str):  # two orders of headroom, as in _eps_branch
+            return EpsSeries.from_ratfn(parse_expr(image), trunc + 2)
+        return _eps_branch(*image, trunc)
+
+    tau_image = data.get("tau_pushforward")
+    return DegenerationArrow(
+        source=key[0],
+        target=key[1],
+        param_map=smap(data["param_map"]),
+        param_inverse=smap(data["param_inverse"]),
+        var_forward=smap(data["var_forward"]),
+        var_inverse=smap(data["var_inverse"]),
+        subgroup_words=data["subgroup_words"],
+        alt_words=data["alt_words"],
+        eps_action={name: branch(image) for name, image in data["eps_action"].items()},
+        eps_power=data["eps_power"],
+        eps_in_source=parse_expr(data["eps_in_source"]),
+        tau_pushforward=None if tau_image is None else parse_expr(tau_image),
+        tau_signs=data.get("tau_signs", {}),
+        deriv_rescale=parse_expr(data["deriv_rescale"]),
+        ham_shift=parse_expr(data.get("ham_shift", "0")),
         trunc=trunc,
     )
 
-    return arrows
 
-
-@cache
-def _default_arrows() -> dict[tuple[str, str], DegenerationArrow]:
-    # built on first use, so importing the module builds nothing
-    return _build_arrows()
-
-
-@cache
-def _arrow_at(key: tuple[str, str], order: int) -> DegenerationArrow:
-    # every check id of a run asks for its arrow again: build each order once
-    return _build_arrows({key: order})[key]
-
-
-def arrow(source: str, target: str, order: int | None = None) -> DegenerationArrow:
-    key = (source, target)
-    if key in ARROW_KEYS:
-        default = _default_arrows()[key]
-        if order is not None and order != default.trunc:
-            return _arrow_at(key, order)
-        return default
-    if key == ("II", "I"):
+def arrow_data(source: str, target: str) -> dict:
+    """The unparsed data of the arrow source -> target; builds nothing."""
+    data = _ARROW_DATA.get((source, target))
+    if data is not None:
+        return data
+    if (source, target) == ("II", "I"):
         raise UnsupportedArrow(
             "the II -> I degeneration is not lifted: every candidate"
             " generator converges to the identity as eps -> 0, so no"
@@ -436,9 +409,14 @@ def arrow(source: str, target: str, order: int | None = None) -> DegenerationArr
     raise UnsupportedArrow(f"no degeneration arrow {source} -> {target}")
 
 
+def arrow(source: str, target: str, order: int | None = None) -> DegenerationArrow:
+    """The arrow at truncation order (None: its default), built once per order."""
+    default = arrow_data(source, target)["trunc"]
+    return _build_arrow((source, target), default if order is None else order)
+
+
 def arrows() -> list[DegenerationArrow]:
-    built = _default_arrows()
-    return [built[key] for key in ARROW_KEYS]
+    return [arrow(*key) for key in ARROW_KEYS]
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,10 @@ class FactoredFrac:
         return RatFn(_expand(self.num_facs, self.num), _expand(self.den_facs))
 
     def substitute(self, bindings: dict[Symbol, RatFn]) -> "FactoredFrac":
-        binding_dens = list({b.den for b in bindings.values() if not b.den.is_one()})
+        # in binding order, so the peel order (and the printed form) does
+        # not depend on Poly.__hash__
+        binding_dens = list(dict.fromkeys(
+            b.den for b in bindings.values() if not b.den.is_one()))
         images: dict[Poly, tuple[Poly, dict[Poly, int], dict[Poly, int]]] = {}
 
         def image(f: Poly) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:

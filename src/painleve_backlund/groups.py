@@ -3,7 +3,9 @@
 Each generator is a named substitution on the field generators
 (alpha..., t, q, p); symbols a table row leaves fixed are simply absent from
 the action map.  The tables and the fundamental-relation schemes are data,
-one block per group, so they can be audited entry by entry.
+one block per group, so they can be audited entry by entry.  A group's
+generators are parsed from its table on first use, so a command builds
+only the groups it asks for.
 
 Word composition convention: apply_word((u, v), f) = u(v(f)), i.e. the
 rightmost letter acts first and each application is a simultaneous
@@ -13,6 +15,7 @@ substitution of that letter's table into the accumulated expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .exprio import parse_expr
 from .factored import FactoredFrac
@@ -107,6 +110,7 @@ class BacklundGen:
         return self.action.get(s, RatFn.variable(s))
 
 
+@cache
 def _build_group(label: str) -> dict[str, BacklundGen]:
     out = {}
     for name, rows in _TABLES[label].items():
@@ -115,18 +119,15 @@ def _build_group(label: str) -> dict[str, BacklundGen]:
     return out
 
 
-_GROUPS = {label: _build_group(label) for label in _TABLES}
-
-
 def _require_group(label: str) -> dict[str, BacklundGen]:
-    if label not in _GROUPS:
+    if label not in _TABLES:
         if label == "I":
             raise UnsupportedSystem(
                 "P_I has no Backlund transformation group; only its"
                 " Hamiltonian and flow are available"
             )
         raise UnsupportedSystem(f"no Backlund group for label {label!r}")
-    return _GROUPS[label]
+    return _build_group(label)
 
 
 def generators(label: str) -> list[BacklundGen]:
@@ -150,20 +151,11 @@ def field_symbols(label: str) -> tuple[Symbol, ...]:
 # ----------------------------------------------------------------------
 # word action
 
-_word_cache: dict[tuple[str, Word, str], RatFn] = {}
-
-
+@cache
 def _word_on_symbol(label: str, word: Word, s: Symbol) -> RatFn:
     if not word:
         return RatFn.variable(s)
-    key = (label, word, s.name)
-    hit = _word_cache.get(key)
-    if hit is not None:
-        return hit
-    result = apply_word(label, word, RatFn.variable(s))
-    if len(_word_cache) < 4096:
-        _word_cache[key] = result
-    return result
+    return apply_word(label, word, RatFn.variable(s))
 
 
 def apply_word(label: str, word: Word, f: RatFn) -> RatFn:

@@ -322,10 +322,11 @@ class Poly:
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
-        # By coefficient value, not by storage layout: set and dict orders
-        # over Poly atoms (the peel order of FactoredFrac) depend on it.
+        # By the stored integers, which are canonical (see module doc).  The
+        # iteration order of a set of Poly atoms follows it, so no result may
+        # depend on such an order.
         if self._hash is None:
-            self._hash = hash(frozenset(self.coefficients()))
+            self._hash = hash((self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self) -> str:

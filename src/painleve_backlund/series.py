@@ -209,30 +209,26 @@ class EpsSeries:
         return EpsSeries(out, trunc)
 
     def inverse(self) -> "EpsSeries":
-        """Multiplicative inverse by valuation shift and geometric inversion."""
+        """Multiplicative inverse by the coefficient recurrence.
+
+        With self = eps^v * sum_j c_{v+j} eps^j, the inverse is
+        eps^-v * sum_k d_k eps^k, where d_0 = 1/c_v and
+        d_k = -(1/c_v) * sum_{j=1..k} c_{v+j} d_{k-j}.
+        """
         if not self.coeffs:
             raise DivisionByZeroSeries("inverse of the zero series")
         v = min(self.coeffs)
         if -v < FLOOR:
             raise FloorExceeded(f"inverse valuation {-v} is below eps^{FLOOR}")
-        c0 = self.coeffs[v]
-        rel_trunc = self.trunc - v
-        c0_inv = c0.inverse()
-        # r has valuation >= 1: shifted tail scaled by 1/c0.
-        r = EpsSeries(
-            {n - v: c * c0_inv for n, c in self.coeffs.items() if n != v}, rel_trunc
-        )
-        acc = EpsSeries.const(1, rel_trunc)
-        term = EpsSeries.const(1, rel_trunc)
-        neg_r = -r
-        for _ in range(rel_trunc):
-            term = term * neg_r
-            if term.is_zero():
-                break
-            acc = acc + term
-        return EpsSeries(
-            {n - v: c * c0_inv for n, c in acc.coeffs.items()}, rel_trunc - v
-        )
+        c = self.coeffs
+        d = [c[v].inverse()]
+        for k in range(1, self.trunc - v + 1):
+            total = RatFn.const(0)
+            for j in range(1, k + 1):
+                if v + j in c and not d[k - j].is_zero():
+                    total = total + c[v + j] * d[k - j]
+            d.append(-(total * d[0]))
+        return EpsSeries({k - v: dk for k, dk in enumerate(d)}, self.trunc - 2 * v)
 
     def __truediv__(self, other: "EpsSeries") -> "EpsSeries":
         return self * other.inverse()

@@ -16,6 +16,7 @@ functions by the chain rule with delta_J t = w_J and delta_J alpha_i = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .exprio import parse_expr
 from .ratfn import RatFn
@@ -76,7 +77,8 @@ _CONSTRAINTS = {
 }
 
 
-def _build(label: str) -> PainleveSystem:
+@cache
+def _build_system(label: str) -> PainleveSystem:
     n_params = len(_CONSTRAINTS[label])
     return PainleveSystem(
         label=label,
@@ -87,14 +89,11 @@ def _build(label: str) -> PainleveSystem:
     )
 
 
-_SYSTEMS = {label: _build(label) for label in LABELS}
-
-
 def system(label: str) -> PainleveSystem:
-    try:
-        return _SYSTEMS[label]
-    except KeyError:
-        raise UnsupportedSystem(f"no Painleve system labelled {label!r}") from None
+    """The system labelled J, parsed on first use."""
+    if label not in LABELS:
+        raise UnsupportedSystem(f"no Painleve system labelled {label!r}")
+    return _build_system(label)
 
 
 def hamiltonian(label: str) -> RatFn:

@@ -202,6 +202,18 @@ def test_numeric_degeneration_refuses_bad_eps_and_nonfinite_input(capsys, option
                        *option)
 
 
+def test_empty_numeric_window_is_refused(capsys):
+    # t1 equal to the default t0 of 0.0: backlund died re-integrating with
+    # a zero step, degeneration reported a vacuous pass
+    assert_input_error(capsys, "numeric", "backlund", "--system", "II",
+                       "--gen", "s1", "--t1", "0.0")
+    assert_input_error(capsys, "numeric", "degeneration", "--arrow", "IV", "II",
+                       "--t1", "0.0")
+    # t0 from --initial
+    assert_input_error(capsys, "numeric", "backlund", "--system", "II",
+                       "--gen", "s1", "--initial", "0.5,1.0,1.0", "--t1", "0.5")
+
+
 def test_wrong_params_count_is_refused(capsys):
     assert_input_error(capsys, "numeric", "backlund", "--system", "II",
                        "--gen", "s1", "--params", "0.1,0.2,0.3")

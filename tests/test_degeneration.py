@@ -125,6 +125,9 @@ def test_truncation_orders():
         ("IV", "II"): 12, ("III", "II"): 12,
     }
     assert arrow("VI", "V", order=10).trunc == 10
+    # one build per (arrow, order): the default order names the default arrow
+    assert arrow("VI", "V", order=8) is arrow("VI", "V")
+    assert arrow("VI", "V", order=10) is arrow("VI", "V", order=10)
 
 
 # ----------------------------------------------------------------------

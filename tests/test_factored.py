@@ -200,3 +200,31 @@ def test_reduction_rule_follows_the_bindings(seed):
     bindings = {q_: P("1/(t + 1)"), p_: P("(t + 1)*p")}
     assert f.substitute(bindings) == P("p + 1")
     assert plain_substitute(f, bindings) == P("(t*p + t + p + 1)/(t + 1)")
+
+
+def test_word_images_do_not_depend_on_poly_hash(monkeypatch):
+    # The peel order of the binding denominators must not follow the hash
+    # of Poly: under salted hashes each two-letter W_II word keeps the
+    # printed form of its image of every field generator.
+    import itertools
+
+    from painleve_backlund.exprio import print_expr
+    from painleve_backlund.groups import apply_word, field_symbols
+
+    words = list(itertools.product(("s0", "s1"), repeat=2))
+
+    def images():
+        out = []
+        for w in words:
+            for s in field_symbols("II"):
+                f = apply_word("II", w, RatFn.variable(s))
+                out.append((print_expr(RatFn(f.num)), print_expr(RatFn(f.den))))
+        return out
+
+    expected = images()
+    for salt in range(1, 4):
+        monkeypatch.setattr(
+            Poly, "__hash__",
+            lambda self, salt=salt: hash((salt, self.den, frozenset(self.terms.items()))),
+        )
+        assert images() == expected, salt

@@ -1,8 +1,8 @@
-"""Start-up loads only what the command runs, and every command runs in
-one process.
+"""Start-up loads only what the command runs, each command builds only the
+groups, systems and arrows it uses, and every command runs in one process.
 
 Each check runs in a fresh interpreter, since the test session itself has
-long since imported every module.
+long since imported every module and built every table.
 """
 
 import json
@@ -30,24 +30,39 @@ import contextlib, io, json, sys
 def loaded():
     return [m for m in {LAZY!r} if m in sys.modules]
 
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+def held(build, *keys):
+    # [builds in the cache, whether it holds every key]: a call with a
+    # held key is a hit and leaves the size as it was
+    size = build.cache_info().currsize
+    for key in keys:
+        build(*key)
+    return [size, build.cache_info().currsize == size]
+
 import painleve_backlund.cli as cli
-after_import = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(["numeric", "backlund", "--system", "II", "--gen", "s1"])
-after_numeric = loaded()
+from painleve_backlund import groups, systems
+
+state = {{}}
+state["import"] = [loaded(), held(groups._build_group), held(systems._build_system)]
+rc = run("numeric", "backlund", "--system", "II", "--gen", "s1")
+state["numeric"] = [rc, loaded(), held(groups._build_group, ("II",)),
+                    held(systems._build_system, ("II",))]
 
 import painleve_backlund as pb
-import painleve_backlund.degeneration as dg
-built = dg._default_arrows.cache_info().currsize
-missing = [name for name in pb.__all__ if not hasattr(pb, name)]
+from painleve_backlund import degeneration as dg
+state["missing"] = [name for name in pb.__all__ if not hasattr(pb, name)]
+rc = run("degenerate", "IV", "II", "--what", "params")
+state["IV-II"] = [rc, held(dg._build_arrow, (("IV", "II"), 12))]
+rc = run("degenerate", "V", "III", "--what", "params", "--order", "10")
+state["V-III@10"] = [rc, held(dg._build_arrow, (("IV", "II"), 12), (("V", "III"), 10))]
 
 # no --jobs: the default runs every symbolic check in this process
-with contextlib.redirect_stdout(io.StringIO()):
-    rcs = [cli.main(["verify-groups", "--system", "II"]),
-           cli.main(["degenerate", "IV", "II", "--what", "params"])]
-workers = [m for m in {IN_PROCESS!r} if m in sys.modules]
-print(json.dumps(dict(after_import=after_import, rc=rc, after_numeric=after_numeric,
-                      built=built, missing=missing, rcs=rcs, workers=workers)))
+rc = run("verify-groups", "--system", "II")
+state["workers"] = [rc, [m for m in {IN_PROCESS!r} if m in sys.modules]]
+print(json.dumps(state))
 """
 
 
@@ -60,6 +75,14 @@ def test_start_up_loads_only_what_the_command_runs():
     assert proc.returncode == 0, proc.stderr
     state = json.loads(proc.stdout.splitlines()[-1])
     assert state == {
-        "after_import": [], "rc": 0, "after_numeric": [], "built": 0, "missing": [],
-        "rcs": [0, 0], "workers": [],
+        # importing the CLI loads no lazy module and builds no table
+        "import": [[], [0, True], [0, True]],
+        # numeric backlund II s1 builds group II and system II, nothing else
+        "numeric": [0, [], [1, True], [1, True]],
+        "missing": [],
+        # degenerate builds its one arrow, at its default truncation 12 ...
+        "IV-II": [0, [1, True]],
+        # ... or only at the --order given
+        "V-III@10": [0, [2, True]],
+        "workers": [0, []],
     }
