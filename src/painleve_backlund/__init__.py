@@ -18,7 +18,6 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "qsqrt2": ("QSqrt2",),
         "symbols": ("Symbol", "sym"),
         "poly": ("MonomialOverflow", "Poly"),
         "ratfn": ("DenominatorVanishes", "DivisionByZero", "RatFn", "ratfn_equal"),

@@ -42,7 +42,7 @@ class UnsupportedArrow(ValueError):
     """A degeneration square outside the five supported arrows."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: one object per (arrow, order)
 class DegenerationArrow:
     source: str
     target: str
@@ -424,8 +424,6 @@ def arrows() -> list[DegenerationArrow]:
 
 _SOURCE_FIELD = tuple(alpha) + (t_, q_, p_)
 
-_lift_cache: dict[tuple[str, str, Word, int], LiftedGenerator] = {}
-
 
 def lift_word(
     arr: DegenerationArrow,
@@ -527,23 +525,18 @@ def _lift_inverse_expr(
     return _SlicedAction(pieces, branch_unit)
 
 
+@cache
 def lift_generator(arr: DegenerationArrow, name: str) -> LiftedGenerator:
     """Lift a named subgroup generator S_i with its declared branch data."""
     if name not in arr.subgroup_words:
         raise KeyError(f"{arr.name} has no subgroup generator {name!r}")
-    word = arr.subgroup_words[name]
-    key = (arr.source, arr.target, word, arr.trunc)
-    hit = _lift_cache.get(key)
-    if hit is None:
-        hit = lift_word(
-            arr,
-            word,
-            name=name,
-            eps_series=arr.eps_action[name],
-            tau_sign=arr.tau_signs.get(name),
-        )
-        _lift_cache[key] = hit
-    return hit
+    return lift_word(
+        arr,
+        arr.subgroup_words[name],
+        name=name,
+        eps_series=arr.eps_action[name],
+        tau_sign=arr.tau_signs.get(name),
+    )
 
 
 def limit_action(arr: DegenerationArrow, name: str, X: Symbol) -> RatFn:
@@ -586,7 +579,8 @@ def target_constraint_reduce(arr: DegenerationArrow, f: RatFn) -> RatFn:
     return f.substitute({A[0]: rest})
 
 
-def _arrow_data_items(arr: DegenerationArrow) -> list[tuple[str, partial, RatFn]]:
+@cache
+def _arrow_data_items(arr: DegenerationArrow) -> tuple[tuple[str, partial, RatFn], ...]:
     """Structural checks pinning the arrow data: (label, lazy lhs, expected).
 
     Round trips of the variable maps, symplecticity of the forward map in
@@ -627,7 +621,7 @@ def _arrow_data_items(arr: DegenerationArrow) -> list[tuple[str, partial, RatFn]
     items.append((f"eps^{arr.eps_power} in source",
                   partial(arr.eps_in_source.substitute, arr.param_map),
                   RatFn.variable(eps) ** arr.eps_power))
-    return items
+    return tuple(items)
 
 
 def arrow_data_labels(arr: DegenerationArrow) -> list[str]:
@@ -649,6 +643,7 @@ def verify_arrow_data(arr: DegenerationArrow) -> list[tuple[str, bool]]:
 # ----------------------------------------------------------------------
 # Hamiltonian degeneration
 
+@cache
 def degenerate_hamiltonian_exact(arr: DegenerationArrow) -> RatFn:
     """H_{J->K} as an exact rational function of A, eps, T, Q, P."""
     H = system(arr.source).hamiltonian
@@ -656,6 +651,7 @@ def degenerate_hamiltonian_exact(arr: DegenerationArrow) -> RatFn:
     return factor * arr.pushforward(H) + arr.ham_shift
 
 
+@cache
 def degenerate_hamiltonian(arr: DegenerationArrow) -> EpsSeries:
     """The eps-expansion of H_{J->K} at the arrow's truncation order."""
     return EpsSeries.from_ratfn(degenerate_hamiltonian_exact(arr), arr.trunc)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import Poly
-from .qsqrt2 import QSqrt2
+from .poly import SQRT2, Poly
 from .ratfn import RatFn
 from .symbols import MASK, REGISTRY, SHIFTS, _BY_NAME
 
@@ -155,7 +154,7 @@ class _Parser:
             return RatFn.const(int(value))
         if kind == "name":
             if value == "sqrt2":
-                return RatFn.const(QSqrt2(0, 1))
+                return RatFn(SQRT2)
             if value not in _BY_NAME:
                 raise UnknownSymbol(f"unknown symbol {value!r} (at position {at})")
             return RatFn.variable(_BY_NAME[value])
@@ -183,24 +182,24 @@ def _fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _coeff_parts(c: QSqrt2) -> tuple[bool, str]:
-    """Return (negated, magnitude-string) for a coefficient.
+def _coeff_parts(a: Fraction, b: Fraction) -> tuple[bool, str]:
+    """Return (negated, magnitude-string) for a coefficient a + b*sqrt2.
 
     Mixed a + b*sqrt2 coefficients are emitted fully parenthesized and never
     report a sign of their own.
     """
-    if not c.b:
-        neg = c.a < 0
-        mag = -c.a if neg else c.a
+    if not b:
+        neg = a < 0
+        mag = -a if neg else a
         return neg, _fraction_str(mag)
-    if not c.a:
-        neg = c.b < 0
-        mag = -c.b if neg else c.b
+    if not a:
+        neg = b < 0
+        mag = -b if neg else b
         if mag == 1:
             return neg, "sqrt2"
         return neg, f"{_fraction_str(mag)}*sqrt2"
-    a_str = _fraction_str(c.a)
-    bneg, b_str = _coeff_parts(QSqrt2(0, c.b))
+    a_str = _fraction_str(a)
+    bneg, b_str = _coeff_parts(0, b)
     joiner = " - " if bneg else " + "
     return False, f"({a_str}{joiner}{b_str})"
 
@@ -220,8 +219,8 @@ def print_poly(poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
-    for key, c in sorted(poly.coefficients(), reverse=True):
-        neg, coeff = _coeff_parts(c)
+    for key, a, b in sorted(poly.coefficients(), reverse=True):
+        neg, coeff = _coeff_parts(a, b)
         mono = _monomial_str(key)
         if not mono:
             body = coeff

@@ -197,10 +197,7 @@ def _subst_poly(
     if not tables:
         return poly, {}
     result = Poly.zero()
-    for key, c in poly.terms.items():
-        if type(c) is tuple and not c[1]:
-            c = c[0]
-        term = Poly({key & ~bound: c})
+    for key, term in poly.numerator_terms(bound):
         for sh, d, num_pows, den_pows in tables:
             e = (key >> sh) & MASK
             if e:

@@ -77,8 +77,7 @@ def _compile_poly(poly, fold: dict[Symbol, float], variables=(t_, q_, p_)):
     """
     terms: dict[tuple[int, int, int], float] = {}
     sh_t, sh_q, sh_p = (SHIFTS[s.index] for s in variables)
-    for key, c in poly.coefficients():
-        coeff = c.to_float()
+    for key, coeff in poly.float_coefficients():
         rest = key
         for s, v in fold.items():
             sh = SHIFTS[s.index]

@@ -19,8 +19,9 @@ multiplication and division in Maple 14", 2009): schoolbook products,
 merges over the lcm of the denominators, and fraction-free trial division
 by the primitive part of the divisor.  A sqrt2 operand is split as
 A + sqrt2*B into two integer parts that run through the same loops.
-QSqrt2 is only the boundary scalar: const() and scale() take it, and
-leading_coeff(), coefficients() and eval_exact() give it.
+A scalar of Q(sqrt2) is a constant Poly, multiplied, compared and inverted
+(by try_div) in the same kernel.  No other module reads the stored format:
+coefficients() gives a, b of each a + b*sqrt2 as Fractions.
 
 Exponents stay below 2^15 (see symbols.py); a product, monomial shift or
 power whose result would reach 2^15 raises MonomialOverflow.
@@ -31,10 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 from operator import or_
 
-from .qsqrt2 import QSqrt2
 from .symbols import BITS, GUARDS, MASK, REGISTRY, SHIFTS, Symbol, sym, var_key
 
 
@@ -56,16 +56,14 @@ class Poly:
         return cls()
 
     @classmethod
-    def const(cls, value) -> "Poly":
-        if type(value) is int:
-            return cls({0: value} if value else {})
-        c = QSqrt2.of(value)
-        a, b = c.a, c.b
+    def const(cls, a, b=0) -> "Poly":
+        """The constant a + b*sqrt2, for ints or Fractions a and b."""
+        if type(a) is int and not b:
+            return cls({0: a} if a else {})
+        a, b = Fraction(a), Fraction(b)
         den = lcm(a.denominator, b.denominator)
-        return _join(
-            {0: a.numerator * (den // a.denominator)} if a else {},
-            {0: b.numerator * (den // b.denominator)} if b else {},
-            den,
+        return _constant(
+            a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
         )
 
     @classmethod
@@ -91,17 +89,43 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms)
 
-    def leading_coeff(self) -> QSqrt2:
-        return self._scalar(self.terms[self.leading_key()])
+    def leading_coeff(self) -> "Poly":
+        """The coefficient of the leading term, as a constant."""
+        c = self.terms[self.leading_key()]
+        if c == self.den:  # the coefficient 1
+            return ONE
+        return _constant(*(c if type(c) is tuple else (c, 0)), self.den)
 
-    def coefficients(self) -> list[tuple[int, QSqrt2]]:
-        """(packed key, coefficient) for every term, in storage order."""
-        return [(k, self._scalar(c)) for k, c in self.terms.items()]
+    def coefficients(self) -> list[tuple[int, Fraction, Fraction]]:
+        """(packed key, a, b) for every term a + b*sqrt2, in storage order."""
+        den = self.den
+        return [
+            (k, Fraction(c[0], den), Fraction(c[1], den)) if type(c) is tuple
+            else (k, Fraction(c, den), Fraction(0))
+            for k, c in self.terms.items()
+        ]
 
-    def _scalar(self, c) -> QSqrt2:
-        if type(c) is tuple:
-            return QSqrt2(Fraction(c[0], self.den), Fraction(c[1], self.den))
-        return QSqrt2(Fraction(c, self.den))
+    def float_coefficients(self) -> list[tuple[int, float]]:
+        """(packed key, a + b*sqrt(2.0)) for every term, in storage order.
+
+        a and b are divided straight from the stored ints: int true division
+        rounds correctly, so each equals float(Fraction(a)) bit for bit.
+        """
+        den = self.den
+        return [
+            (k, c[0] / den + c[1] / den * _SQRT2_FLOAT) if type(c) is tuple else (k, c / den)
+            for k, c in self.terms.items()
+        ]
+
+    def numerator_terms(self, mask: int) -> list[tuple[int, "Poly"]]:
+        """(key, integer numerator times the monomial key & ~mask) per term.
+
+        The second parts sum to den * self with the symbols in mask set to 1.
+        """
+        return [
+            (key, Poly({key & ~mask: c[0] if type(c) is tuple and not c[1] else c}))
+            for key, c in self.terms.items()
+        ]
 
     def max_exponent(self, s: Symbol) -> int:
         sh = SHIFTS[s.index]
@@ -152,12 +176,6 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         return _product(self, other)
-
-    def scale(self, c) -> "Poly":
-        c = Poly.const(c)
-        if c.is_one():
-            return self
-        return _product(self, c)
 
     def mul_key(self, key: int) -> "Poly":
         """Multiply by the monomial with the given packed key."""
@@ -249,8 +267,8 @@ class Poly:
     # ------------------------------------------------------------------
     # evaluation and slicing
 
-    def eval_exact(self, values: dict[Symbol, Fraction]) -> QSqrt2:
-        """Evaluate at rational points; every used symbol must be bound.
+    def eval_exact(self, values: dict[Symbol, Fraction]) -> "Poly":
+        """Evaluate at rational points, to a constant; every used symbol must be bound.
 
         A bound value n/d with top exponent m in the polynomial contributes
         n^e * d^(m-e) to a term of exponent e, so the sum stays an integer
@@ -266,7 +284,7 @@ class Poly:
                 tables.append((SHIFTS[s.index], [n**e * d ** (m - e) for e in range(m + 1)]))
                 scale *= d**m
 
-        def total(terms: dict) -> Fraction:
+        def total(terms: dict) -> int:
             acc = 0
             for key, c in terms.items():
                 rest = key
@@ -277,16 +295,15 @@ class Poly:
                 if rest:
                     raise ValueError("unbound symbol in exact evaluation")
                 acc += c
-            return Fraction(acc, scale)
+            return acc
 
         a, b = _parts(self)
-        return QSqrt2(total(a), total(b))
+        return _constant(total(a), total(b), scale)
 
     def eval_float(self, values: dict[Symbol, float]) -> float:
         total = 0.0
         items = [(SHIFTS[s.index], float(v)) for s, v in values.items()]
-        for key, c in self.coefficients():
-            factor = c.to_float()
+        for key, factor in self.float_coefficients():
             rest = key
             for shift, v in items:
                 e = (key >> shift) & MASK
@@ -463,6 +480,11 @@ def _join(a: dict, b: dict, den: int) -> Poly:
     return Poly(a, den)
 
 
+def _constant(a: int, b: int, den: int) -> Poly:
+    """Canonical constant (a + sqrt2*b)/den."""
+    return _join({0: a} if a else {}, {0: b} if b else {}, den)
+
+
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     """p + sign*q over the lcm of the two denominators."""
     dp, dq = p.den, q.den
@@ -487,5 +509,8 @@ def _product(p: Poly, q: Poly) -> Poly:
     )
 
 
+_SQRT2_FLOAT = sqrt(2.0)
+
 ZERO = Poly()
 ONE = Poly.const(1)
+SQRT2 = Poly.const(0, 1)

@@ -3,7 +3,8 @@
 A RatFn is a pair num/den of polynomials with den != 0.  Canonical form:
 
   * common monomial content of num and den is cancelled,
-  * den's leading coefficient under the global monomial order is 1,
+  * den's leading coefficient under the global monomial order is 1 (both
+    are multiplied by the inverse of that constant, a constant Poly),
   * zero is represented as 0/1.
 
 No polynomial GCD is computed: equality is decided semantically by
@@ -17,7 +18,6 @@ import random
 from fractions import Fraction
 
 from .poly import ONE as P_ONE, Poly, min_key
-from .qsqrt2 import QSqrt2
 from .symbols import Symbol
 
 
@@ -43,11 +43,11 @@ class RatFn:
         if content:
             num = num.div_key(content)
             den = den.div_key(content)
-        lead = den.terms[den.leading_key()]  # over den.den, maybe a pair (a, b)
-        if lead not in (den.den, (den.den, 0)):
-            inv = den.leading_coeff().inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
+        lead = den.leading_coeff()
+        if not lead.is_one():
+            inv = P_ONE.try_div(lead)
+            num = num * inv
+            den = den * inv
         self.num = num
         self.den = den
 
@@ -141,15 +141,6 @@ class RatFn:
         return substitute_reduced(self, bindings)
 
     # ------------------------------------------------------------------
-    # evaluation
-
-    def eval_exact(self, values: dict[Symbol, Fraction]) -> QSqrt2:
-        den = self.den.eval_exact(values)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.eval_exact(values) / den
-
-    # ------------------------------------------------------------------
     # equality
 
     def equals(self, other: "RatFn") -> bool:
@@ -186,7 +177,9 @@ def ratfn_equal(f: RatFn, g: RatFn) -> bool:
     """
     if f.num == g.num and f.den == g.den:
         return True
-    syms = f.symbols_used() | g.symbols_used()
+    # in registry order: a set of Symbols iterates in hash order, which
+    # follows PYTHONHASHSEED
+    syms = sorted(f.symbols_used() | g.symbols_used(), key=lambda s: s.index)
     if syms:
         rng = random.Random(_PRECHECK_SEED)
         for _ in range(_PRECHECK_POINTS):

@@ -328,8 +328,8 @@ def poly_at_series(
 
     result = EpsSeries.zero(trunc)
     powers: dict[tuple[int, int], EpsSeries] = {}
-    for key, coeff in poly.coefficients():
-        term = EpsSeries.const(coeff, trunc)
+    for key, a, b in poly.coefficients():
+        term = EpsSeries.const(Poly.const(a, b), trunc)
         rest = key
         for s, value in args.items():
             sh = SHIFTS[s.index]

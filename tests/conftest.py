@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from painleve_backlund.poly import Poly
-from painleve_backlund.qsqrt2 import QSqrt2
 from painleve_backlund.ratfn import RatFn
 DEFAULT_SEED = 20240517
 
@@ -33,12 +32,13 @@ def rand_fraction(rng: random.Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 4))
 
 
-def rand_coeff(rng: random.Random, sqrt2_prob: float = 0.15) -> QSqrt2:
+def rand_coeff(rng: random.Random, sqrt2_prob: float = 0.15) -> Poly:
+    """A nonzero constant a + b*sqrt2."""
     b = rand_fraction(rng) if rng.random() < sqrt2_prob else Fraction(0)
     a = rand_fraction(rng)
     if not a and not b:
         a = Fraction(1)
-    return QSqrt2(a, b)
+    return Poly.const(a, b)
 
 
 def rand_poly(
@@ -52,7 +52,7 @@ def rand_poly(
     terms = rng.randint(0 if allow_zero else 1, max_terms)
     result = Poly.zero()
     for _ in range(terms):
-        mono = Poly.const(rand_coeff(rng, sqrt2_prob))
+        mono = rand_coeff(rng, sqrt2_prob)
         for s in symbols:
             e = rng.randint(0, max_degree)
             if e:

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import painleve_backlund
 from painleve_backlund.degeneration import (
     ARROW_KEYS,
     UnsupportedArrow,
@@ -511,3 +517,49 @@ def test_transformed_system_factor_remaining_arrows():
     # S0 of III -> II fixes both eps^2 and T, so its factor is exactly 1
     s0_iii = transformed_system_factor(arrow("III", "II"), "S0")
     assert series_equal(s0_iii, EpsSeries.const(1, s0_iii.trunc))
+
+
+
+BUILDS_SCRIPT = """
+import collections, contextlib, io, json
+from painleve_backlund import cli, degeneration as dg
+
+lifts = collections.Counter()
+lift_word = dg.lift_word
+
+def spy(arr, word, name="", **kwargs):
+    lifts[f"{arr.name}@{arr.trunc} {name}"] += 1
+    return lift_word(arr, word, name, **kwargs)
+
+dg.lift_word = spy
+for argv in (["IV", "II"], ["V", "III"], ["V", "III", "--order", "10"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["degenerate", *argv, "--what", "all"])
+caches = {
+    f.__name__: [f.cache_info().misses, f.cache_info().hits]
+    for f in (dg.lift_generator, dg._arrow_data_items, dg.degenerate_hamiltonian,
+              dg.degenerate_hamiltonian_exact)
+}
+print(json.dumps([lifts, caches]))
+"""
+
+
+def test_per_arrow_data_is_built_once_per_process():
+    # Every check id asks its arrow again for the lifts, the arrow-data items
+    # and the Hamiltonian expansion; each is built once per (arrow, order).
+    src = Path(painleve_backlund.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", BUILDS_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lifts, caches = json.loads(proc.stdout.splitlines()[-1])
+    # IV -> II lifts S0, S1; V -> III lifts S0, S1, S2 at each order
+    assert sorted(lifts) == [
+        "IV->II@12 S0", "IV->II@12 S1", "V->III@10 S0", "V->III@10 S1", "V->III@10 S2",
+        "V->III@8 S0", "V->III@8 S1", "V->III@8 S2",
+    ]
+    assert set(lifts.values()) == {1}
+    assert caches["lift_generator"][0] == len(lifts)
+    for name in ("_arrow_data_items", "degenerate_hamiltonian", "degenerate_hamiltonian_exact"):
+        misses, hits = caches[name]
+        assert misses == 3 and hits > 0, (name, misses, hits)

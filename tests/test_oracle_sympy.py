@@ -30,9 +30,9 @@ N = 40
 
 def to_sympy(poly):
     total = sympy.Integer(0)
-    for key, c in poly.coefficients():
-        term = sympy.Rational(c.a.numerator, c.a.denominator) + SQRT2 * sympy.Rational(
-            c.b.numerator, c.b.denominator
+    for key, a, b in poly.coefficients():
+        term = sympy.Rational(a.numerator, a.denominator) + SQRT2 * sympy.Rational(
+            b.numerator, b.denominator
         )
         for s in REGISTRY:
             e = (key >> SHIFTS[s.index]) & MASK
@@ -52,7 +52,7 @@ def same_value(expr, f):
 
 
 def has_sqrt2(poly):
-    return any(c.b for _, c in poly.coefficients())
+    return any(b for _, _, b in poly.coefficients())
 
 
 def sqrt2_poly(rng, **kw):

@@ -1,14 +1,14 @@
+import math
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from painleve_backlund.exprio import parse_expr, print_poly
-from painleve_backlund.poly import MonomialOverflow, Poly
-from painleve_backlund.qsqrt2 import QSqrt2
+from painleve_backlund.poly import ONE, SQRT2, MonomialOverflow, Poly
 from painleve_backlund.symbols import q_, sym, t_
 
-from conftest import rand_poly, rng_for
+from conftest import rand_coeff, rand_poly, rng_for
 
 
 def P(text):
@@ -48,7 +48,7 @@ def test_partial():
 def test_leading_term_is_lexicographic():
     # registry order puts t before q, so t dominates
     f = P("q^5 + t")
-    assert f.leading_coeff() == QSqrt2(1)
+    assert f.leading_coeff() == Poly.const(1)
     assert f.leading_key() == P("t").leading_key()
 
 
@@ -75,7 +75,70 @@ def test_try_div_exact_and_inexact(seed):
 def test_eval_exact():
     f = P("q^2*t - 1/2")
     value = f.eval_exact({q_: Fraction(2), t_: Fraction(1, 3)})
-    assert value == QSqrt2(Fraction(4, 3) - Fraction(1, 2))
+    assert value == Poly.const(Fraction(4, 3) - Fraction(1, 2))
+
+
+# Scalars of Q(sqrt2) are constant polynomials: the kernel's product and
+# equality apply to them, and ONE.try_div(c) is the inverse of c.
+
+
+def test_constant_product():
+    a = Poly.const(Fraction(1, 2), 3)
+    b = Poly.const(2, Fraction(-1, 3))
+    # (1/2 + 3 r)(2 - r/3) with r^2 = 2: rational part 1 - 2 = -1,
+    # r part -1/6 + 6 = 35/6
+    assert a * b == Poly.const(-1, Fraction(35, 6))
+
+
+def test_sqrt2_squares_to_two():
+    assert SQRT2 * SQRT2 == Poly.const(2)
+
+
+def test_inverse_of_sqrt2():
+    inv_sqrt2 = ONE.try_div(SQRT2)
+    assert inv_sqrt2 == Poly.const(0, Fraction(1, 2))
+    assert inv_sqrt2 * SQRT2 == ONE
+
+
+def test_constant_inverse_round_trip(seed):
+    rng = rng_for(seed, "qsqrt2-inverse")
+    for _ in range(300):
+        value = rand_coeff(rng, sqrt2_prob=0.5)
+        if value.is_zero():
+            continue
+        assert value * ONE.try_div(value) == ONE
+
+
+def test_zero_constant_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        ONE.try_div(Poly.zero())
+
+
+def test_nonzero_constants_invertible_even_when_norm_looks_small():
+    # a^2 - 2 b^2 never vanishes for rational a, b not both zero
+    v = Poly.const(Fraction(7, 5), Fraction(99, 100))
+    assert v * ONE.try_div(v) == ONE
+
+
+def test_constant_hash_and_equality_consistent():
+    assert hash(Poly.const(1, 2)) == hash(Poly.const(Fraction(1), Fraction(2)))
+    assert Poly.const(1, 2) == Poly.const(Fraction(1), Fraction(2))
+
+
+def test_constant_to_float():
+    [(key, value)] = SQRT2.float_coefficients()
+    assert key == 0 and abs(value - 2**0.5) < 1e-15
+
+
+def test_float_coefficients_match_the_fraction_formula(seed):
+    # the stored ints divided directly round like the Fraction parts did
+    rng = rng_for(seed, "poly-float")
+    for _ in range(200):
+        scale = Poly.const(Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)))
+        f = rand_poly(rng, (t_, q_), sqrt2_prob=0.5) * scale
+        assert [k for k, _ in f.float_coefficients()] == [k for k, _, _ in f.coefficients()]
+        for (_, x), (_, a, b) in zip(f.float_coefficients(), f.coefficients()):
+            assert repr(x) == repr(float(Fraction(a)) + float(Fraction(b)) * math.sqrt(2.0))
 
 
 def test_canonical_form_is_unique(seed):
@@ -101,7 +164,7 @@ def test_same_polynomial_built_two_ways_is_one_value():
     # FactoredFrac cancels atoms by == and hash, so both must see one value
     q = P("q")
     cases = [
-        (q.scale(Fraction(1, 2)) * Poly.const(2), q),
+        (q * Poly.const(Fraction(1, 2)) * Poly.const(2), q),
         (P("2*q + 4") * P("q/2 - 1/4"), P("q^2 + 3/2*q - 1")),  # content cancels
         (P("sqrt2*q") * P("sqrt2/4"), P("q/2")),  # sqrt2 parts multiply out
         ((P("q + sqrt2") - P("sqrt2")), q),  # sqrt2 parts cancel

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import painleve_backlund
 from painleve_backlund.exprio import parse_expr as P
 from painleve_backlund.ratfn import (
     DenominatorVanishes,
@@ -133,5 +140,45 @@ def test_canonicalization_idempotent(seed):
 
 def test_canonical_denominator_is_monic():
     f = P("q / (2*t - 2*q)")
-    assert f.den.leading_coeff().a == 1
-    assert not f.den.leading_coeff().b
+    assert f.den.leading_coeff().is_one()
+
+
+PRECHECK_SCRIPT = """
+import contextlib, io, json
+from painleve_backlund import cli
+from painleve_backlund.exprio import parse_expr
+from painleve_backlund.poly import Poly
+from painleve_backlund.ratfn import ratfn_equal
+
+points = []
+eval_exact = Poly.eval_exact
+
+def spy(self, values):
+    points.append([(s.name, str(v)) for s, v in values.items()])
+    return eval_exact(self, values)
+
+Poly.eval_exact = spy
+ratfn_equal(parse_expr("alpha0*q + p/t"), parse_expr("alpha1*q + T"))
+first = points[:]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["degenerate", "IV", "II", "--format", "json"])
+print(json.dumps([first, points, out.getvalue()]))
+"""
+
+
+def test_precheck_points_do_not_follow_the_hash_seed():
+    # Symbols hash by name, so a set of them iterates in an order that
+    # changes with PYTHONHASHSEED; the sample points must not.
+    src = Path(painleve_backlund.__file__).resolve().parents[1]
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", PRECHECK_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    (first_1, points_1, report_1), (first_2, points_2, report_2) = runs
+    assert first_1 and first_1 == first_2
+    assert points_1 == points_2
+    assert report_1 == report_2
