@@ -13,20 +13,18 @@ that turns a degeneration id into one: the runner calls the library
 functions for that id (one relation on one side, one generator's eps branch,
 one arrow-data item, one table entry), never a whole list it then filters.
 Every failure record carries a printable witness; a crash becomes an error
-record naming the exception class and the innermost file:line.
+record naming the exception class and the innermost file:line.  Only
+degeneration ids load the degeneration and series modules.
 """
 
 from __future__ import annotations
 
 import os
-import traceback
 
-from . import degeneration as dg
 from . import groups as gr
 from .exprio import print_expr, print_series
 from .ratfn import RatFn, ratfn_equal
 from .report import CheckRecord
-from .series import DivergesAtZero
 from .symbols import A, P_, Q_, T_, p_, q_
 from .systems import poisson_bracket, system
 
@@ -42,6 +40,8 @@ def group_check_ids(label: str) -> list[str]:
 
 
 def arrow_check_ids(arr: dg.DegenerationArrow, what: str = "all") -> list[str]:
+    from . import degeneration as dg
+
     key = f"{arr.source}-{arr.target}"
     ids: list[str] = []
     if what in ("all", "params"):
@@ -81,6 +81,8 @@ def run_check(check_id: str, order: int | None = None) -> CheckRecord:
         if parts[0] == "degen":
             return _run_degen_check(check_id, parts, order)
     except Exception as exc:  # an error record; the rest of the report still runs
+        import traceback
+
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         return _record(
@@ -162,6 +164,9 @@ def _run_group_check(check_id: str, parts: list[str]) -> CheckRecord:
 
 
 def _run_degen_check(check_id: str, parts: list[str], order: int | None) -> CheckRecord:
+    from . import degeneration as dg
+    from .series import DivergesAtZero
+
     src, tgt = parts[1].split("-")
     arr = dg.arrow(src, tgt, order=order)
     kind = parts[2]
@@ -243,6 +248,9 @@ def _run_degen_check(check_id: str, parts: list[str], order: int | None) -> Chec
 
 
 def _run_ham_check(check_id: str, arr: dg.DegenerationArrow, which: str) -> CheckRecord:
+    from . import degeneration as dg
+    from .series import DivergesAtZero
+
     if which == "gauge":
         gauge = dg.hamiltonian_gauge_terms(arr)
         ok = all(dg.is_flow_trivial(c) for c in gauge.values())

@@ -18,7 +18,6 @@ import sys
 from functools import partial
 
 from . import __version__
-from .numeric import NearPole, backlund_numeric_check, degeneration_numeric_check
 from .groups import GROUP_LABELS, generator
 from .report import CheckRecord, Report
 from .systems import UnsupportedSystem, system
@@ -118,14 +117,19 @@ def _parse_params(text: str, label: str) -> tuple[float, ...]:
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected t0,q0,p0")
-    return tuple(parts)
+        raise argparse.ArgumentTypeError("expected t0,q0,p0: three numbers")
+    return parts
 
 
 def cmd_numeric(args) -> int:
     """numeric backlund and numeric degeneration: one flow comparison each."""
+    from .numeric import NearPole, backlund_numeric_check, degeneration_numeric_check, integrate
+
     command = args.numeric_command
     if command == "backlund":
         label = args.system
@@ -169,9 +173,11 @@ def cmd_numeric(args) -> int:
         return _input_error(
             f"--t1 {t1} equals the start time t0 = {initial[0]}: the window is empty")
     if getattr(args, "dump_csv", None):
-        from .numeric import integrate
-
-        integrate(label, params, initial, t1, args.h).to_csv(args.dump_csv)
+        trajectory = integrate(label, params, initial, t1, args.h)
+        try:
+            trajectory.to_csv(args.dump_csv)
+        except OSError as exc:
+            return _input_error(f"cannot write --dump-csv: {exc}")
     report = _new_report({
         **head, "h": args.h, "tol": tol,
         "params": ",".join(str(v) for v in params),

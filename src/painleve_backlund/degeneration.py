@@ -22,7 +22,6 @@ declared sign times tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .exprio import parse_expr
@@ -36,14 +35,16 @@ from .series import (
     series_equal,
 )
 from .symbols import A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, sym, t_, tau
-from .systems import system
+from .systems import poisson_bracket, system
 
 class UnsupportedArrow(ValueError):
     """A degeneration square outside the five supported arrows."""
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: one object per (arrow, order)
 class DegenerationArrow:
+    """One arrow at one truncation order, hashed by identity: the caches keyed
+    on an arrow rely on there being one object per (arrow, order)."""
+
     source: str
     target: str
     param_map: dict[Symbol, RatFn]
@@ -60,6 +61,13 @@ class DegenerationArrow:
     deriv_rescale: RatFn
     ham_shift: RatFn
     trunc: int
+    __slots__ = tuple(__annotations__)  # the fields above, in order
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields.pop(name))
+        if fields:
+            raise TypeError(f"unknown arrow fields: {', '.join(fields)}")
 
     @property
     def name(self) -> str:
@@ -76,7 +84,6 @@ class DegenerationArrow:
         return f.substitute(bindings)
 
 
-@dataclass
 class _SlicedAction:
     """A lifted variable action in factored form.
 
@@ -88,8 +95,11 @@ class _SlicedAction:
     genuinely enormous.
     """
 
-    pieces: list[tuple[RatFn, int]]
-    branch_unit: EpsSeries
+    __slots__ = ("pieces", "branch_unit")
+
+    def __init__(self, pieces: list[tuple[RatFn, int]], branch_unit: EpsSeries):
+        self.pieces = pieces
+        self.branch_unit = branch_unit
 
     def materialize(self, order: int) -> EpsSeries:
         total = EpsSeries.zero(order)
@@ -104,16 +114,20 @@ class _SlicedAction:
         return total
 
 
-@dataclass
 class LiftedGenerator:
-    arrow: DegenerationArrow
-    name: str
-    word: Word
-    param_actions: dict[Symbol, RatFn]
-    eps_series: EpsSeries
-    var_parts: dict[Symbol, _SlicedAction] = field(default_factory=dict)
-    exact_var: dict[Symbol, RatFn] | None = None
-    eps_powers: dict[int, EpsSeries] = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("arrow", "name", "word", "param_actions", "eps_series",
+                 "var_parts", "exact_var", "eps_powers")
+
+    def __init__(self, arrow: DegenerationArrow, name: str, word: Word,
+                 param_actions: dict[Symbol, RatFn], eps_series: EpsSeries):
+        self.arrow = arrow
+        self.name = name
+        self.word = word
+        self.param_actions = param_actions
+        self.eps_series = eps_series
+        self.var_parts: dict[Symbol, _SlicedAction] = {}
+        self.exact_var: dict[Symbol, RatFn] | None = None
+        self.eps_powers: dict[int, EpsSeries] = {}
 
     def eps_series_power(self, n: int) -> EpsSeries:
         """eps_series**n, computed once per exponent and kept on the lift."""
@@ -588,8 +602,6 @@ def _arrow_data_items(arr: DegenerationArrow) -> tuple[tuple[str, partial, RatFn
     With eps treated as a formal symbol all of these are exact identities;
     for III -> II the time round trip closes onto -tau^2 by construction.
     """
-    from .systems import poisson_bracket
-
     fwd = {**arr.var_forward, **arr.param_map}
     if arr.tau_pushforward is not None:
         fwd[tau] = arr.tau_pushforward

@@ -20,9 +20,6 @@ is semantically equal to f.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from pathlib import Path
-
 from .poly import SQRT2, Poly
 from .ratfn import RatFn
 from .symbols import MASK, REGISTRY, SHIFTS, _BY_NAME
@@ -269,10 +266,12 @@ def print_series(series) -> str:
 # ----------------------------------------------------------------------
 # fixtures
 
-def load_fixtures(path: str | Path) -> list[RatFn]:
+def load_fixtures(path) -> list[RatFn]:
     """Read a fixture file: one expression per line, '#' comments."""
+    with open(path) as fh:
+        text = fh.read()
     out = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append(parse_expr(line))

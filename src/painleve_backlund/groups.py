@@ -5,7 +5,8 @@ Each generator is a named substitution on the field generators
 the action map.  The tables and the fundamental-relation schemes are data,
 one block per group, so they can be audited entry by entry.  A group's
 generators are parsed from its table on first use, so a command builds
-only the groups it asks for.
+only the groups it asks for; the factored engine loads with the first word
+action, so `numeric backlund` never loads it.
 
 Word composition convention: apply_word((u, v), f) = u(v(f)), i.e. the
 rightmost letter acts first and each application is a simultaneous
@@ -14,11 +15,10 @@ substitution of that letter's table into the accumulated expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .exprio import parse_expr
-from .factored import FactoredFrac
 from .ratfn import RatFn, ratfn_equal
 from .symbols import Symbol, p_, q_, sym, t_
 from .systems import (
@@ -95,13 +95,13 @@ _RELATION_SCHEMES = {
 GROUP_LABELS = tuple(_TABLES)
 
 
-@dataclass(frozen=True)
-class BacklundGen:
-    """One named generator: a substitution map on the field generators."""
+class BacklundGen(namedtuple("BacklundGen", "group name action")):
+    """One named generator: a substitution map on the field generators.
 
-    group: str
-    name: str
-    action: dict[Symbol, RatFn]
+    action maps each Symbol the generator moves to its image RatFn.
+    """
+
+    __slots__ = ()
 
     def __call__(self, f: RatFn) -> RatFn:
         return f.substitute(self.action)
@@ -164,6 +164,8 @@ def apply_word(label: str, word: Word, f: RatFn) -> RatFn:
     Composition runs on partially factored fractions so that denominator
     factors reappearing inside expanded numerators cancel along the way.
     """
+    from .factored import FactoredFrac
+
     group = _require_group(label)
     for name in word:
         if name not in group:

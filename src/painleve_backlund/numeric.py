@@ -14,23 +14,18 @@ code performs the same IEEE operations in the same order as summing the
 tables term by term, so every value is bit-identical to that loop.
 
 `degeneration` is imported only when a degenerate flow is compiled, so
-`numeric backlund` loads neither it nor `series`.
+`numeric backlund` loads neither it nor `series`; the annotations naming
+`DegenerationArrow` and `BacklundGen` stay unevaluated strings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
-from .groups import BacklundGen
 from .ratfn import RatFn
-from .symbols import MASK, SHIFTS, Symbol, alpha, p_, q_, t_
+from .symbols import MASK, SHIFTS, A, P_, Q_, Symbol, T_, alpha, p_, q_, t_
 from .systems import system
-
-if TYPE_CHECKING:
-    from .degeneration import DegenerationArrow
 
 POLE_GUARD = 1e-12
 
@@ -43,19 +38,19 @@ class NearPole(ArithmeticError):
         self.at = at
 
 
-@dataclass
-class Trajectory:
-    system: str
-    params: dict[str, float]
-    h: float
-    samples: list[tuple[float, float, float]]
-    complete: bool = True
+class Trajectory(namedtuple(
+    "Trajectory", "system params h samples complete", defaults=(True,),
+)):
+    """Samples (t, q, p) of one flow; complete is False if it stopped at a pole."""
 
-    def to_csv(self, path: str | Path) -> None:
+    __slots__ = ()
+
+    def to_csv(self, path) -> None:
         lines = ["t,q,p"]
         for t, q, p in self.samples:
             lines.append(f"{t:.17g},{q:.17g},{p:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def eval_ratfn(f: RatFn, assignment: dict[Symbol, float]) -> float:
@@ -298,7 +293,6 @@ def _compile_series_flow(arr: DegenerationArrow, eps_value: float, params: dict[
     (T, Q, P) exponents of the coefficients as (t, q, p).
     """
     from .degeneration import degenerate_hamiltonian
-    from .symbols import P_, Q_, T_
 
     series = degenerate_hamiltonian(arr)
 
@@ -351,7 +345,5 @@ def degeneration_numeric_check(
 
 
 def _target_param_pairs(arr: DegenerationArrow):
-    from .symbols import A
-
     n = len(system(arr.target).params)
     return [(A[i], alpha[i]) for i in range(n)]

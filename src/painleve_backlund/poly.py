@@ -21,7 +21,8 @@ by the primitive part of the divisor.  A sqrt2 operand is split as
 A + sqrt2*B into two integer parts that run through the same loops.
 A scalar of Q(sqrt2) is a constant Poly, multiplied, compared and inverted
 (by try_div) in the same kernel.  No other module reads the stored format:
-coefficients() gives a, b of each a + b*sqrt2 as Fractions.
+coefficients() gives a, b of each a + b*sqrt2 as Fractions.  `fractions` is
+imported only where a Fraction is built, so float evaluation never loads it.
 
 Exponents stay below 2^15 (see symbols.py); a product, monomial shift or
 power whose result would reach 2^15 raises MonomialOverflow.
@@ -29,7 +30,6 @@ power whose result would reach 2^15 raises MonomialOverflow.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, sqrt
@@ -60,6 +60,8 @@ class Poly:
         """The constant a + b*sqrt2, for ints or Fractions a and b."""
         if type(a) is int and not b:
             return cls({0: a} if a else {})
+        from fractions import Fraction
+
         a, b = Fraction(a), Fraction(b)
         den = lcm(a.denominator, b.denominator)
         return _constant(
@@ -98,6 +100,8 @@ class Poly:
 
     def coefficients(self) -> list[tuple[int, Fraction, Fraction]]:
         """(packed key, a, b) for every term a + b*sqrt2, in storage order."""
+        from fractions import Fraction
+
         den = self.den
         return [
             (k, Fraction(c[0], den), Fraction(c[1], den)) if type(c) is tuple
@@ -274,6 +278,8 @@ class Poly:
         n^e * d^(m-e) to a term of exponent e, so the sum stays an integer
         over den * prod d^m.
         """
+        from fractions import Fraction
+
         tables = []
         scale = self.den
         for s, v in values.items():
@@ -513,4 +519,4 @@ _SQRT2_FLOAT = sqrt(2.0)
 
 ZERO = Poly()
 ONE = Poly.const(1)
-SQRT2 = Poly.const(0, 1)
+SQRT2 = _constant(0, 1, 1)

@@ -14,9 +14,6 @@ answer "different".  Substitution runs the engine in factored.py.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 from .poly import ONE as P_ONE, Poly, min_key
 from .symbols import Symbol
 
@@ -181,6 +178,9 @@ def ratfn_equal(f: RatFn, g: RatFn) -> bool:
     # follows PYTHONHASHSEED
     syms = sorted(f.symbols_used() | g.symbols_used(), key=lambda s: s.index)
     if syms:
+        import random
+        from fractions import Fraction
+
         rng = random.Random(_PRECHECK_SEED)
         for _ in range(_PRECHECK_POINTS):
             point = {

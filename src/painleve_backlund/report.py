@@ -8,29 +8,29 @@ schema shipped next to this module (report_schema.json).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+import os
+from collections import namedtuple
 
 VERSION = 1
 
 
-@dataclass
-class CheckRecord:
-    check_id: str
-    kind: str
-    subject: str
-    source: str
-    outcome: str  # pass | fail | skip
-    detail: str = ""
-    witness: str | None = None
+class CheckRecord(namedtuple(
+    "CheckRecord", "check_id kind subject source outcome detail witness",
+    defaults=("", None),
+)):
+    """One check's verdict; outcome is pass | fail | skip."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Report:
-    tool_name: str
-    tool_version: str
-    config: dict
-    checks: list[CheckRecord] = field(default_factory=list)
+    __slots__ = ("tool_name", "tool_version", "config", "checks")
+
+    def __init__(self, tool_name: str, tool_version: str, config: dict):
+        self.tool_name = tool_name
+        self.tool_version = tool_version
+        self.config = config
+        self.checks: list[CheckRecord] = []
 
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
@@ -98,5 +98,5 @@ class Report:
 
 def load_schema() -> dict:
     """The versioned JSON schema the report format is pinned to."""
-    text = resources.files("painleve_backlund").joinpath("report_schema.json").read_text()
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "report_schema.json")) as fh:
+        return json.load(fh)

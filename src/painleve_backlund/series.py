@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exprio import print_expr, print_series
 from .poly import Poly
 from .ratfn import RatFn
-from .symbols import Symbol, eps as EPS
+from .symbols import MASK, SHIFTS, Symbol, eps as EPS
 
 FLOOR = -12
 
@@ -44,8 +45,6 @@ class DivergesAtZero(ArithmeticError):
     """A series with a nonzero negative-order coefficient has no eps->0 limit."""
 
     def __init__(self, order: int, coeff: RatFn):
-        from .exprio import print_expr
-
         super().__init__(
             f"diverges as eps -> 0: nonzero coefficient at order {order}: "
             f"{print_expr(coeff)}"
@@ -247,8 +246,6 @@ class EpsSeries:
         return result
 
     def __repr__(self) -> str:
-        from .exprio import print_series
-
         return f"EpsSeries({print_series(self)})"
 
 
@@ -324,8 +321,6 @@ def poly_at_series(
     Every symbol the polynomial uses must be bound.  Series powers are cached
     across terms.
     """
-    from .symbols import MASK, SHIFTS
-
     result = EpsSeries.zero(trunc)
     powers: dict[tuple[int, int], EpsSeries] = {}
     for key, a, b in poly.coefficients():

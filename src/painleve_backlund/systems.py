@@ -15,11 +15,11 @@ functions by the chain rule with delta_J t = w_J and delta_J alpha_i = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .exprio import parse_expr
-from .ratfn import RatFn
+from .ratfn import RatFn, ratfn_equal
 from .symbols import Symbol, alpha, p_, q_, t_
 
 LABELS = ("VI", "V", "IV", "III", "II", "I")
@@ -29,13 +29,13 @@ class UnsupportedSystem(ValueError):
     """A request outside the six supported system labels."""
 
 
-@dataclass(frozen=True)
-class PainleveSystem:
-    label: str
-    hamiltonian: RatFn
-    t_weight: RatFn
-    params: tuple[Symbol, ...]
-    constraint_coeffs: tuple[int, ...]  # sum(c_i * alpha_i) = 1
+class PainleveSystem(namedtuple(
+    "PainleveSystem", "label hamiltonian t_weight params constraint_coeffs",
+)):
+    """H_J and w_J as RatFns, the alpha_i in order, and the integers c_i of
+    the normalization sum(c_i * alpha_i) = 1."""
+
+    __slots__ = ()
 
     def constraint_expr(self) -> RatFn:
         """The left side of the parameter normalization."""
@@ -145,6 +145,4 @@ def reduce_constraint(label: str, f: RatFn) -> RatFn:
 
 def equal_mod_constraint(label: str, f: RatFn, g: RatFn) -> bool:
     """Exact equality of f and g restricted to the constraint hyperplane."""
-    from .ratfn import ratfn_equal
-
     return ratfn_equal(reduce_constraint(label, f), reduce_constraint(label, g))

@@ -219,3 +219,32 @@ def test_wrong_params_count_is_refused(capsys):
                        "--gen", "s1", "--params", "0.1,0.2,0.3")
     assert_input_error(capsys, "numeric", "degeneration", "--arrow", "V", "III",
                        "--params", "0.1,0.2")
+
+
+def test_dump_csv_writes_the_base_trajectory(capsys, tmp_path):
+    path = tmp_path / "base.csv"
+    code, _ = run_cli(capsys, "numeric", "backlund", "--system", "II", "--gen", "s1",
+                      "--initial", "0.1,0.5,0.3", "--t1", "0.2",
+                      "--dump-csv", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,q,p"
+    # 17 significant digits: each double reads back exactly
+    assert lines[1] == "0.10000000000000001,0.5,0.29999999999999999"
+    assert tuple(map(float, lines[1].split(","))) == (0.1, 0.5, 0.3)
+    assert len(lines) == 1 + 101  # 100 steps of h = 1e-3 and the initial point
+
+
+def test_dump_csv_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    assert_input_error(capsys, "numeric", "backlund", "--system", "II", "--gen", "s1",
+                       "--dump-csv", str(tmp_path / "missing" / "base.csv"))
+
+
+@pytest.mark.parametrize("value", ["a,b,c", "1.0,2.0"])
+def test_bad_initial_names_the_expected_form(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["numeric", "backlund", "--system", "II", "--gen", "s1",
+              "--initial", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --initial: expected t0,q0,p0: three numbers" in err

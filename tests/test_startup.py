@@ -2,7 +2,8 @@
 groups, systems and arrows it uses, and every command runs in one process.
 
 Each check runs in a fresh interpreter, since the test session itself has
-long since imported every module and built every table.
+long since imported every module and built every table.  The interpreter
+runs with -S, so that no `site` .pth file preloads a module for it.
 """
 
 import json
@@ -18,17 +19,24 @@ SRC = Path(painleve_backlund.__file__).resolve().parents[1]
 # no command starts worker processes, so these stay unloaded throughout
 IN_PROCESS = ("concurrent.futures.process", "multiprocessing")
 
-LAZY = IN_PROCESS + (
-    "painleve_backlund.degeneration",
+# loaded only by the degeneration commands
+DEGENERATION = ("painleve_backlund.degeneration", "painleve_backlund.series")
+
+# neither importing the CLI nor numeric backlund runs any of these: the
+# records are namedtuples, Fractions are built only by the exact engine, and
+# the factored engine only acts by words
+LAZY = IN_PROCESS + DEGENERATION + (
     "painleve_backlund.checks",
-    "painleve_backlund.series",
+    "painleve_backlund.factored",
+    "dataclasses", "inspect", "fractions", "decimal", "random", "typing",
+    "pathlib", "importlib.resources",
 )
 
 SCRIPT = f"""
 import contextlib, io, json, sys
 
-def loaded():
-    return [m for m in {LAZY!r} if m in sys.modules]
+def loaded(names={LAZY!r}):
+    return [m for m in names if m in sys.modules]
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -51,6 +59,9 @@ rc = run("numeric", "backlund", "--system", "II", "--gen", "s1")
 state["numeric"] = [rc, loaded(), held(groups._build_group, ("II",)),
                     held(systems._build_system, ("II",))]
 
+rc = run("verify-groups", "--system", "II")
+state["verify-groups"] = [rc, loaded({DEGENERATION!r})]
+
 import painleve_backlund as pb
 from painleve_backlund import degeneration as dg
 state["missing"] = [name for name in pb.__all__ if not hasattr(pb, name)]
@@ -58,10 +69,8 @@ rc = run("degenerate", "IV", "II", "--what", "params")
 state["IV-II"] = [rc, held(dg._build_arrow, (("IV", "II"), 12))]
 rc = run("degenerate", "V", "III", "--what", "params", "--order", "10")
 state["V-III@10"] = [rc, held(dg._build_arrow, (("IV", "II"), 12), (("V", "III"), 10))]
-
-# no --jobs: the default runs every symbolic check in this process
-rc = run("verify-groups", "--system", "II")
-state["workers"] = [rc, [m for m in {IN_PROCESS!r} if m in sys.modules]]
+# no --jobs above: the default runs every symbolic check in this process
+state["workers"] = loaded({IN_PROCESS!r})
 print(json.dumps(state))
 """
 
@@ -69,7 +78,7 @@ print(json.dumps(state))
 def test_start_up_loads_only_what_the_command_runs():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True,
+        [sys.executable, "-S", "-c", SCRIPT], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -79,10 +88,12 @@ def test_start_up_loads_only_what_the_command_runs():
         "import": [[], [0, True], [0, True]],
         # numeric backlund II s1 builds group II and system II, nothing else
         "numeric": [0, [], [1, True], [1, True]],
+        # verify-groups loads no degeneration code
+        "verify-groups": [0, []],
         "missing": [],
         # degenerate builds its one arrow, at its default truncation 12 ...
         "IV-II": [0, [1, True]],
         # ... or only at the --order given
         "V-III@10": [0, [2, True]],
-        "workers": [0, []],
+        "workers": [],
     }
