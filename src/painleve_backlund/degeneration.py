@@ -130,10 +130,11 @@ class LiftedGenerator:
         self.eps_powers: dict[int, EpsSeries] = {}
 
     def eps_series_power(self, n: int) -> EpsSeries:
-        """eps_series**n, computed once per exponent and kept on the lift."""
+        """eps_series**n, kept on the lift; S^n is built as S^(n-1)*S."""
         pw = self.eps_powers.get(n)
         if pw is None:
-            pw = self.eps_powers[n] = self.eps_series**n
+            pw = self.eps_series**n if n < 2 else self.eps_series_power(n - 1) * self.eps_series
+            self.eps_powers[n] = pw
         return pw
 
     def action_series(self, s: Symbol, order: int | None = None) -> EpsSeries:
@@ -530,11 +531,11 @@ def _lift_inverse_expr(
     if len(den_slices) != 1:
         raise ValueError("inverse expression denominator mixes eps orders")
     (d, D), = den_slices.items()
-    den_exact = RatFn(D).substitute(pushed)
     eps_var = RatFn.variable(eps)
     pieces = []
     for m, N_m in phi.num.slices(eps).items():
-        exact = (RatFn(N_m).substitute(pushed) / den_exact) * eps_var ** (m - d)
+        # one quotient, so the pushed denominators cancel in one substitution
+        exact = RatFn(N_m, D).substitute(pushed) * eps_var ** (m - d)
         pieces.append((exact, m - d))
     return _SlicedAction(pieces, branch_unit)
 

@@ -104,7 +104,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
+                result = _sum(result, rhs if value == "+" else -rhs)
             else:
                 return result
 
@@ -160,6 +160,15 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ExprSyntaxError("expected number, symbol, or '('", at)
+
+
+def _sum(f: RatFn, g: RatFn) -> RatFn:
+    """f + g, over the larger denominator when one divides the other."""
+    for small, big in ((f, g), (g, f)):
+        k = big.den.try_div(small.den)
+        if k is not None:
+            return RatFn(small.num * k + big.num, big.den)
+    return f + g
 
 
 def parse_expr(text: str) -> RatFn:

@@ -17,6 +17,12 @@ the rule for cancelling them depends only on the bindings:
     denominator atoms are trial-divided into the expanded numerator (sparse
     trial division, which is unconditionally correct).
 
+Each polynomial cancels before it expands: its terms divide the binding
+denominators into their own factors, are summed over the lcm of what they
+keep, and the peel takes each denominator as often as it divides that sum
+times the powers the lcm spared, which is what peeling the fully expanded
+product would give.
+
 substitute_reduced drops the bindings its input does not use first; a word
 letter's bindings are kept whole, because dividing after every rational
 letter keeps word states small even where the state misses that binding.
@@ -61,10 +67,10 @@ class FactoredFrac:
         def image(f: Poly) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
             got = images.get(f)
             if got is None:
-                body, extra_den = _subst_poly(f, bindings)
+                body, pending, extra_den = _subst_poly(f, bindings)
                 split: dict[Poly, int] = {}
                 if binding_dens and not body.is_zero():
-                    body, split = _peel(body, binding_dens)
+                    body, split = _peel(body, binding_dens, pending)
                 got = (body, split, extra_den)
                 images[f] = got
             return got
@@ -77,28 +83,20 @@ class FactoredFrac:
                 )
         num_facs: dict[Poly, int] = {}
         den_facs: dict[Poly, int] = {}
-        num_new, split, extra = image(self.num)
-        for g, k in split.items():
-            _bump(num_facs, g, k)
-        for g, k in extra.items():
-            _bump(den_facs, g, k)
-        for f, e in self.num_facs.items():
+        sides = [(self.num, 1, num_facs, den_facs)]
+        sides += [(f, e, num_facs, den_facs) for f, e in self.num_facs.items()]
+        sides += [(f, e, den_facs, num_facs) for f, e in self.den_facs.items()]
+        for i, (f, e, same, other) in enumerate(sides):
             body, split, extra = image(f)
             if body.is_zero():
-                return FactoredFrac(Poly.zero())
-            _bump(num_facs, body, e)
+                return FactoredFrac(body)
+            if i:  # the numerator's own body stays expanded
+                _bump(same, body, e)
             for g, k in split.items():
-                _bump(num_facs, g, k * e)
+                _bump(same, g, k * e)
             for g, k in extra.items():
-                _bump(den_facs, g, k * e)
-        for f, e in self.den_facs.items():
-            body, split, extra = image(f)
-            _bump(den_facs, body, e)
-            for g, k in split.items():
-                _bump(den_facs, g, k * e)
-            for g, k in extra.items():
-                _bump(num_facs, g, k * e)
-        return FactoredFrac(num_new, num_facs, den_facs)._reduced(bool(binding_dens))
+                _bump(other, g, k * e)
+        return FactoredFrac(image(self.num)[0], num_facs, den_facs)._reduced(bool(binding_dens))
 
     def _reduced(self, trial_divide: bool) -> "FactoredFrac":
         num = self.num
@@ -124,13 +122,6 @@ class FactoredFrac:
                 _bump(den_facs, f, -1)
         return FactoredFrac(num, num_facs, den_facs)
 
-    def __repr__(self) -> str:
-        return (
-            f"FactoredFrac({len(self.num.terms)} terms,"
-            f" num_facs={[(len(f.terms), e) for f, e in self.num_facs.items()]},"
-            f" den_facs={[(len(f.terms), e) for f, e in self.den_facs.items()]})"
-        )
-
 
 def _bump(facs: dict[Poly, int], f: Poly, e: int) -> None:
     if f.is_one() or e == 0:
@@ -150,38 +141,44 @@ def _expand(facs: dict[Poly, int], into: Poly | None = None) -> Poly:
     return P_ONE if into is None else into
 
 
-def _peel(poly: Poly, dens: list[Poly]) -> tuple[Poly, dict[Poly, int]]:
-    """Split off the powers of binding denominators hiding inside poly."""
+def _peel(
+    poly: Poly, dens: list[Poly], pending: dict[Poly, int]
+) -> tuple[Poly, dict[Poly, int]]:
+    """Split off each binding denominator in turn, as often as it divides
+    poly * prod(pending), using up pending: its powers go first, and the
+    product is expanded only when a denominator may divide it but not poly."""
     counts: dict[Poly, int] = {}
     for b in dens:
         while True:
-            quo = poly.try_div(b)
-            if quo is None:
-                break
-            poly = quo
+            if pending.get(b):
+                pending[b] -= 1
+            else:
+                quo = poly.try_div(b)
+                if quo is None and any(pending.values()) and b.ends_may_divide(
+                        [(poly, 1), *pending.items()]):
+                    poly, pending = _expand(pending, poly), {}
+                    quo = poly.try_div(b)
+                if quo is None:
+                    break
+                poly = quo
             counts[b] = counts.get(b, 0) + 1
     return poly, counts
 
 
-def _powers(x: Poly, d: int) -> list[Poly]:
-    pows = [P_ONE, x]
-    for _ in range(d - 1):
-        pows.append(pows[-1] * x)
-    return pows
-
-
 def _subst_poly(
     poly: Poly, bindings: dict[Symbol, RatFn]
-) -> tuple[Poly, dict[Poly, int]]:
-    """Substitute into a polynomial, returning num and factored denominator.
+) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
+    """Substitute into a polynomial: (num, pending, den) meaning
+    num * prod(pending) / prod(den), den = prod over s of den(s)^max_deg(s).
 
-    The denominator is the product over bound symbols s of den(s)^max_deg(s),
-    kept as a factor -> exponent map so the caller can cancel factors shared
-    between two substituted polynomials exactly.  Each term starts from its
-    integer numerator, and the sum is divided by poly.den once at the end.
+    The terms with the same exponents e(s) form a group, the numerators of
+    their other monomials times num(s)^e(s) over den(s)^e(s).  Each binding
+    denominator is trial-divided into those factors first (attempts cached);
+    the groups are summed over the lcm of the powers they keep, and den over
+    that lcm is pending.  The sum is divided by poly.den once at the end.
     """
     tables = []
-    factors: dict[Poly, int] = {}
+    top: dict[Poly, int] = {}  # den: binding denominator -> power, binding order
     bound = 0  # the key fields of the symbols substituted
     for s, b in bindings.items():
         d = poly.max_exponent(s)
@@ -189,23 +186,48 @@ def _subst_poly(
             continue
         sh = SHIFTS[s.index]
         bound |= MASK << sh
-        den_pows = None
         if not b.den.is_one():
-            den_pows = _powers(b.den, d)
-            factors[b.den] = factors.get(b.den, 0) + d
-        tables.append((sh, d, _powers(b.num, d), den_pows))
+            top[b.den] = top.get(b.den, 0) + d
+        num_pows = [P_ONE, b.num]
+        while len(num_pows) <= d:
+            num_pows.append(num_pows[-1] * b.num)
+        tables.append((sh, num_pows, None if b.den.is_one() else b.den))
     if not tables:
-        return poly, {}
-    result = Poly.zero()
-    for key, term in poly.numerator_terms(bound):
-        for sh, d, num_pows, den_pows in tables:
+        return poly, {}, {}
+    tried: dict[tuple[Poly, Poly], Poly | None] = {}
+    groups = []
+    kept = dict.fromkeys(top, 0)  # the lcm of the kept powers
+    for key, coeff in poly.numerator_groups(bound).items():
+        factors = []
+        left = dict.fromkeys(top, 0)
+        for sh, num_pows, den in tables:
             e = (key >> sh) & MASK
             if e:
-                term = term * num_pows[e]
-            if den_pows and d > e:
-                term = term * den_pows[d - e]
-        result = result + term
-    return result.div_int(poly.den), factors
+                factors.append(num_pows[e])
+                if den is not None:
+                    left[den] += e
+        for den in top:
+            for i, f in enumerate(factors):
+                while left[den]:
+                    if (f, den) not in tried:
+                        tried[f, den] = f.try_div(den)
+                    quo = tried[f, den]
+                    if quo is None:
+                        break
+                    f = factors[i] = quo
+                    left[den] -= 1
+            kept[den] = max(kept[den], left[den])
+        groups.append((coeff, factors, left))
+    result = Poly.zero()
+    for coeff, factors, left in groups:
+        for f in factors:
+            coeff = coeff * f
+        for den, e in left.items():
+            if kept[den] > e:
+                coeff = coeff * den ** (kept[den] - e)
+        result = result + coeff
+    pending = {den: top[den] - kept[den] for den in top}
+    return result.div_int(poly.den), pending, top
 
 
 def substitute_reduced(f: RatFn, bindings: dict[Symbol, RatFn]) -> RatFn:

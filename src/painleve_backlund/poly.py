@@ -121,15 +121,24 @@ class Poly:
             for k, c in self.terms.items()
         ]
 
-    def numerator_terms(self, mask: int) -> list[tuple[int, "Poly"]]:
-        """(key, integer numerator times the monomial key & ~mask) per term.
+    def numerator_groups(self, mask: int) -> dict[int, "Poly"]:
+        """{key & mask: integer numerators times the monomials key & ~mask};
+        the groups, each times the monomial of its key, sum to den * self."""
+        out: dict[int, tuple[dict, dict]] = {}
+        for part, terms in enumerate(_parts(self)):
+            for key, c in terms.items():
+                out.setdefault(key & mask, ({}, {}))[part][key & ~mask] = c
+        return {k: _join(a, b, 1) for k, (a, b) in out.items()}
 
-        The second parts sum to den * self with the symbols in mask set to 1.
-        """
-        return [
-            (key, Poly({key & ~mask: c[0] if type(c) is tuple and not c[1] else c}))
-            for key, c in self.terms.items()
-        ]
+    def ends_may_divide(self, factors: list[tuple["Poly", int]]) -> bool:
+        """False only if self cannot divide the product of f^e over factors:
+        the product's lex-leading and lex-trailing monomials, the products of
+        the factors' own, must be multiples of self's."""
+        for end in (max, min):
+            key = sum(end(f.terms) * e for f, e in factors)
+            if ((key | GUARDS) - end(self.terms)) & GUARDS != GUARDS:
+                return False
+        return True
 
     def max_exponent(self, s: Symbol) -> int:
         sh = SHIFTS[s.index]
@@ -223,7 +232,9 @@ class Poly:
         Fraction-free sparse reduction against the lex-leading term of the
         divisor's primitive part: by Gauss's lemma an exact quotient then
         has integer numerators, so the first remainder coefficient that the
-        leading one does not divide settles "None".  A sqrt2 divisor M is
+        leading one does not divide settles "None"; trailing (lex-smallest)
+        terms multiply as leading ones do, so one that the divisor's does not
+        divide settles it before any reduction.  A sqrt2 divisor M is
         first made rational by multiplying both sides by its conjugate.
         Used to cancel denominator factors that reappear inside expanded
         numerators during word composition.
@@ -416,8 +427,13 @@ def _lin(x: dict, m: int, y: dict, n: int) -> dict:
 def _div_terms(num: dict, div: dict) -> dict | None:
     """num / div over Z, or None if div does not divide num over Q.
 
-    div must be primitive (its numerators have gcd 1).
+    div must be primitive (its numerators have gcd 1); see Poly.try_div.
     """
+    if not num:
+        return {}
+    nt, dt = min(num), min(div)
+    if ((nt | GUARDS) - dt) & GUARDS != GUARDS or num[nt] % div[dt]:
+        return None
     dlead = max(div)
     dcoeff = div[dlead]
     dtail = [(k, c) for k, c in div.items() if k != dlead]
@@ -497,6 +513,8 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     g = gcd(dp, dq)
     mp, mq = dq // g, sign * (dp // g)
     (pa, pb), (qa, qb) = _parts(p), _parts(q)
+    if not pb and not qb:
+        return _join(_lin(pa, mp, qa, mq), {}, dp * mp)
     return _join(_lin(pa, mp, qa, mq), _lin(pb, mp, qb, mq), dp * mp)
 
 

@@ -563,3 +563,38 @@ def test_per_arrow_data_is_built_once_per_process():
     for name in ("_arrow_data_items", "degenerate_hamiltonian", "degenerate_hamiltonian_exact"):
         misses, hits = caches[name]
         assert misses == 3 and hits > 0, (name, misses, hits)
+
+
+PRODUCTS_SCRIPT = """
+import json
+from painleve_backlund.degeneration import arrow, lift_generator
+from painleve_backlund.poly import Poly
+
+sizes = []
+mul = Poly.__mul__
+
+def spy(a, b):
+    out = mul(a, b)
+    sizes.append((len(a.terms) * len(b.terms), len(out.terms)))
+    return out
+
+Poly.__mul__ = spy
+lift_generator(arrow("III", "II"), "S0")
+print(json.dumps([sum(n for n, _ in sizes), max(m for _, m in sizes)]))
+"""
+
+
+def test_III_to_II_S0_lift_cancels_before_expanding():
+    # The P slice 2*q*(p*q + alpha0) takes the pushed q and p; p's
+    # denominator divides q's numerator squared, so cancelled per term the
+    # lift never expands a product over both denominators (6,060 terms and
+    # 275,826 coefficient products when expanded first).  A fresh process
+    # starts with every cache empty.
+    src = Path(painleve_backlund.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", PRODUCTS_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    products, largest = json.loads(proc.stdout.splitlines()[-1])
+    assert largest <= 1352, largest
+    assert products <= 60_000, products

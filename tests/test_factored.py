@@ -228,3 +228,98 @@ def test_word_images_do_not_depend_on_poly_hash(monkeypatch):
             lambda self, salt=salt: hash((salt, self.den, frozenset(self.terms.items()))),
         )
         assert images() == expected, salt
+
+
+def expand_subst_poly(poly, bindings):
+    """The engine's polynomial substitution before per-term cancellation:
+    every term expanded over prod den(s)^max_deg(s), nothing pending."""
+    tables = []
+    factors = {}
+    bound = 0
+    for s, b in bindings.items():
+        d = poly.max_exponent(s)
+        if not d:
+            continue
+        sh = SHIFTS[s.index]
+        bound |= MASK << sh
+        den_pows = None
+        if not b.den.is_one():
+            den_pows = [P_ONE]
+            for _ in range(d):
+                den_pows.append(den_pows[-1] * b.den)
+            factors[b.den] = factors.get(b.den, 0) + d
+        num_pows = [P_ONE]
+        for _ in range(d):
+            num_pows.append(num_pows[-1] * b.num)
+        tables.append((sh, d, num_pows, den_pows))
+    if not tables:
+        return poly, {}, {}
+    result = Poly.zero()
+    for key, group in poly.numerator_groups(bound).items():
+        for sh, d, num_pows, den_pows in tables:
+            e = (key >> sh) & MASK
+            group = group * num_pows[e]
+            if den_pows:
+                group = group * den_pows[d - e]
+        result = result + group
+    return result.div_int(poly.den), {}, factors
+
+
+def expand_peel(poly, dens, pending):
+    assert not pending
+    counts = {}
+    for b in dens:
+        while (quo := poly.try_div(b)) is not None:
+            poly = quo
+            counts[b] = counts.get(b, 0) + 1
+    return poly, counts
+
+
+def shared_factor_bindings(rng):
+    """q and p bound over denominators that share a factor (g and g^2, g and
+    g*h, t^3 and t^6, ...), each numerator carrying the other denominator."""
+    from painleve_backlund.symbols import x_, y_
+
+    # x and y are each in one term at most, so g and h are never zero
+    g = rand_poly(rng, (t_,), max_terms=2) + Poly.variable(x_)
+    h = rand_poly(rng, (t_,), max_terms=2) + Poly.variable(y_)
+    t3 = Poly.variable(t_) ** 3
+    dq, dp = rng.choice([(g, g * g), (g * g, g), (g, g * h), (g * h, h), (t3, t3 * t3), (g, h)])
+    syms = (t_, x_, y_)
+    nq = rand_poly(rng, syms, allow_zero=False) * dp ** rng.randint(0, 2) + rand_poly(rng, syms)
+    np_ = rand_poly(rng, syms, allow_zero=False) * dq ** rng.randint(0, 2) + rand_poly(rng, syms)
+    return {q_: RatFn(nq, dq), p_: RatFn(np_, dp)}
+
+
+def test_per_term_cancellation_matches_expanding_first(seed, monkeypatch):
+    # Differential test against the engine as it was: substitute by
+    # expanding every term over the full denominator, then peel.  The
+    # canonical (num, den) must be identical, also through a second
+    # substitution that carries the factored numerator and denominator.
+    import painleve_backlund.factored as factored
+
+    rng = rng_for(seed, "factored-per-term")
+    cases = []
+    while len(cases) < 60:
+        bindings = shared_factor_bindings(rng)
+        num = rand_poly(rng, (q_, p_, t_), max_terms=4, allow_zero=False)
+        den = rand_poly(rng, (q_, p_, t_), max_terms=2, allow_zero=False)
+        if den.is_zero() or any(b.is_zero() for b in bindings.values()):
+            continue
+        cases.append((RatFn(num, den), bindings, shared_factor_bindings(rng)))
+
+    def run():
+        out = []
+        for f, first, second in cases:
+            try:
+                state = FactoredFrac.from_ratfn(f).substitute(first)
+                out.append((state.to_ratfn(), state.substitute(second).to_ratfn()))
+            except DenominatorVanishes:
+                out.append(None)
+        return out
+
+    ours = run()
+    monkeypatch.setattr(factored, "_subst_poly", expand_subst_poly)
+    monkeypatch.setattr(factored, "_peel", expand_peel)
+    assert ours == run()
+    assert sum(r is not None for r in ours) > 40

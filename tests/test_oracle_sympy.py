@@ -12,6 +12,7 @@ from painleve_backlund.degeneration import (
     arrow,
     degenerate_hamiltonian_exact,
     lift_generator,
+    limit_action,
     target_table_action,
 )
 from painleve_backlund.ratfn import DenominatorVanishes, RatFn, ratfn_equal
@@ -212,3 +213,16 @@ def test_exact_lift_limits_match_sympy_limit(key):
         for X in (T_, Q_, P_):
             theirs = sympy.limit(ratfn_to_sympy(exact[X]), e, 0)
             assert same_value(theirs, target_table_action(arr, name, X)), (key, name, X)
+
+
+def test_printed_limits_and_table_entry_are_in_lowest_terms():
+    # The V -> IV and III -> II limits of S0 on Q are substituted as one
+    # quotient, and W_II's s0(p) parses over D^2 (D divides D^2), so none
+    # carries the factor D = P - 2*Q^2 - T (or its V -> IV analogue).
+    from painleve_backlund.groups import generator
+
+    forms = [limit_action(arrow(*key), "S0", Q_) for key in (("V", "IV"), ("III", "II"))]
+    forms.append(generator("II", "s0").acts_on(p_))
+    for f in forms:
+        common = sympy.gcd(to_sympy(f.num), to_sympy(f.den))
+        assert not common.free_symbols, (f, common)

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from painleve_backlund.exprio import parse_expr, print_poly
-from painleve_backlund.poly import ONE, SQRT2, MonomialOverflow, Poly
+from painleve_backlund.poly import ONE, SQRT2, MonomialOverflow, Poly, min_key
 from painleve_backlund.symbols import q_, sym, t_
 
 from conftest import rand_coeff, rand_poly, rng_for
@@ -200,3 +200,38 @@ def test_monomial_overflow_is_named():
     with pytest.raises(MonomialOverflow):
         half.mul_key(half.leading_key())
     assert print_poly(p**32767) == "p^32767"  # the largest exponent a field holds
+
+
+def long_div(num, div):
+    """Textbook division by the divisor's lex-leading term, on Poly values:
+    the reference for try_div, with no early exit."""
+    lead, inv = div.leading_key(), ONE.try_div(div.leading_coeff())
+    quo = Poly.zero()
+    while not num.is_zero():
+        key = num.leading_key()
+        if min_key(key, lead) != lead:
+            return None
+        step = (num.leading_coeff() * inv).mul_key(key - lead)
+        quo = quo + step
+        num = num - step * div
+    return quo
+
+
+def test_fail_fast_try_div_agrees_with_long_division(seed):
+    # Divisible pairs, the same pairs off by one term (most of which the
+    # trailing-term test rejects before any reduction), a zero dividend,
+    # and divisors with sqrt2 coefficients.
+    rng = rng_for(seed, "poly-fail-fast")
+    syms = (q_, t_, sym("p"))
+    assert Poly.zero().try_div(P("q + 1")) == Poly.zero() == long_div(Poly.zero(), P("q + 1"))
+    rejected = 0
+    for i in range(300):
+        a = rand_poly(rng, syms, max_terms=4, allow_zero=False, sqrt2_prob=0.3)
+        b = rand_poly(rng, syms, max_terms=3, allow_zero=False, sqrt2_prob=0.3)
+        if b.is_zero():
+            continue
+        for num in (a * b, a * b + rand_poly(rng, syms, max_terms=1, sqrt2_prob=0.3)):
+            ours, ref = num.try_div(b), long_div(num, b)
+            assert ours == ref, (num, b)
+            rejected += ours is None
+    assert rejected > 100
