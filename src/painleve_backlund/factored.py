@@ -18,10 +18,9 @@ the rule for cancelling them depends only on the bindings:
     trial division, which is unconditionally correct).
 
 Each polynomial cancels before it expands: its terms divide the binding
-denominators into their own factors, are summed over the lcm of what they
-keep, and the peel takes each denominator as often as it divides that sum
-times the powers the lcm spared, which is what peeling the fully expanded
-product would give.
+denominators into their own factors and are summed over the lcm of what they
+keep; the peel then takes the powers the lcm spared, so the result is the
+one that peeling the fully expanded product would give.
 
 substitute_reduced drops the bindings its input does not use first; a word
 letter's bindings are kept whole, because dividing after every rational
@@ -83,20 +82,28 @@ class FactoredFrac:
                 )
         num_facs: dict[Poly, int] = {}
         den_facs: dict[Poly, int] = {}
-        sides = [(self.num, 1, num_facs, den_facs)]
-        sides += [(f, e, num_facs, den_facs) for f, e in self.num_facs.items()]
-        sides += [(f, e, den_facs, num_facs) for f, e in self.den_facs.items()]
-        for i, (f, e, same, other) in enumerate(sides):
+        num_new, split, extra = image(self.num)
+        for g, k in split.items():
+            _bump(num_facs, g, k)
+        for g, k in extra.items():
+            _bump(den_facs, g, k)
+        for f, e in self.num_facs.items():
             body, split, extra = image(f)
             if body.is_zero():
-                return FactoredFrac(body)
-            if i:  # the numerator's own body stays expanded
-                _bump(same, body, e)
+                return FactoredFrac(Poly.zero())
+            _bump(num_facs, body, e)
             for g, k in split.items():
-                _bump(same, g, k * e)
+                _bump(num_facs, g, k * e)
             for g, k in extra.items():
-                _bump(other, g, k * e)
-        return FactoredFrac(image(self.num)[0], num_facs, den_facs)._reduced(bool(binding_dens))
+                _bump(den_facs, g, k * e)
+        for f, e in self.den_facs.items():
+            body, split, extra = image(f)
+            _bump(den_facs, body, e)
+            for g, k in split.items():
+                _bump(den_facs, g, k * e)
+            for g, k in extra.items():
+                _bump(num_facs, g, k * e)
+        return FactoredFrac(num_new, num_facs, den_facs)._reduced(bool(binding_dens))
 
     def _reduced(self, trial_divide: bool) -> "FactoredFrac":
         num = self.num
@@ -122,6 +129,13 @@ class FactoredFrac:
                 _bump(den_facs, f, -1)
         return FactoredFrac(num, num_facs, den_facs)
 
+    def __repr__(self) -> str:
+        return (
+            f"FactoredFrac({len(self.num.terms)} terms,"
+            f" num_facs={[(len(f.terms), e) for f, e in self.num_facs.items()]},"
+            f" den_facs={[(len(f.terms), e) for f, e in self.den_facs.items()]})"
+        )
+
 
 def _bump(facs: dict[Poly, int], f: Poly, e: int) -> None:
     if f.is_one() or e == 0:
@@ -141,9 +155,7 @@ def _expand(facs: dict[Poly, int], into: Poly | None = None) -> Poly:
     return P_ONE if into is None else into
 
 
-def _peel(
-    poly: Poly, dens: list[Poly], pending: dict[Poly, int]
-) -> tuple[Poly, dict[Poly, int]]:
+def _peel(poly: Poly, dens: list[Poly], pending: dict) -> tuple[Poly, dict[Poly, int]]:
     """Split off each binding denominator in turn, as often as it divides
     poly * prod(pending), using up pending: its powers go first, and the
     product is expanded only when a denominator may divide it but not poly."""
@@ -168,15 +180,11 @@ def _peel(
 def _subst_poly(
     poly: Poly, bindings: dict[Symbol, RatFn]
 ) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
-    """Substitute into a polynomial: (num, pending, den) meaning
-    num * prod(pending) / prod(den), den = prod over s of den(s)^max_deg(s).
-
-    The terms with the same exponents e(s) form a group, the numerators of
-    their other monomials times num(s)^e(s) over den(s)^e(s).  Each binding
-    denominator is trial-divided into those factors first (attempts cached);
-    the groups are summed over the lcm of the powers they keep, and den over
-    that lcm is pending.  The sum is divided by poly.den once at the end.
-    """
+    """(num, pending, den): the image is num * prod(pending) / prod(den),
+    den = prod over s of den(s)^max_deg(s).  Terms with equal exponents e(s)
+    form a group; each binding denominator is trial-divided into the group's
+    num(s)^e(s) first (attempts cached), the groups are summed over the lcm
+    of the powers they keep, and den over that lcm is pending."""
     tables = []
     top: dict[Poly, int] = {}  # den: binding denominator -> power, binding order
     bound = 0  # the key fields of the symbols substituted
@@ -220,11 +228,9 @@ def _subst_poly(
         groups.append((coeff, factors, left))
     result = Poly.zero()
     for coeff, factors, left in groups:
+        factors += [den ** (kept[den] - e) for den, e in left.items() if kept[den] > e]
         for f in factors:
             coeff = coeff * f
-        for den, e in left.items():
-            if kept[den] > e:
-                coeff = coeff * den ** (kept[den] - e)
         result = result + coeff
     pending = {den: top[den] - kept[den] for den in top}
     return result.div_int(poly.den), pending, top

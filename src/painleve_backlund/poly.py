@@ -131,9 +131,8 @@ class Poly:
         return {k: _join(a, b, 1) for k, (a, b) in out.items()}
 
     def ends_may_divide(self, factors: list[tuple["Poly", int]]) -> bool:
-        """False only if self cannot divide the product of f^e over factors:
-        the product's lex-leading and lex-trailing monomials, the products of
-        the factors' own, must be multiples of self's."""
+        """False only if self cannot divide the product of f^e: that product's
+        lex-leading and lex-trailing monomials must be multiples of self's."""
         for end in (max, min):
             key = sum(end(f.terms) * e for f, e in factors)
             if ((key | GUARDS) - end(self.terms)) & GUARDS != GUARDS:
@@ -232,9 +231,8 @@ class Poly:
         Fraction-free sparse reduction against the lex-leading term of the
         divisor's primitive part: by Gauss's lemma an exact quotient then
         has integer numerators, so the first remainder coefficient that the
-        leading one does not divide settles "None"; trailing (lex-smallest)
-        terms multiply as leading ones do, so one that the divisor's does not
-        divide settles it before any reduction.  A sqrt2 divisor M is
+        leading one does not divide settles "None", and so, before any
+        reduction, does the trailing (lex-smallest) term.  A sqrt2 divisor M is
         first made rational by multiplying both sides by its conjugate.
         Used to cancel denominator factors that reappear inside expanded
         numerators during word composition.
@@ -429,10 +427,8 @@ def _div_terms(num: dict, div: dict) -> dict | None:
 
     div must be primitive (its numerators have gcd 1); see Poly.try_div.
     """
-    if not num:
-        return {}
-    nt, dt = min(num), min(div)
-    if ((nt | GUARDS) - dt) & GUARDS != GUARDS or num[nt] % div[dt]:
+    nt, dt = min(num, default=0), min(div)  # trailing terms multiply too
+    if num and (((nt | GUARDS) - dt) & GUARDS != GUARDS or num[nt] % div[dt]):
         return None
     dlead = max(div)
     dcoeff = div[dlead]
@@ -513,8 +509,6 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     g = gcd(dp, dq)
     mp, mq = dq // g, sign * (dp // g)
     (pa, pb), (qa, qb) = _parts(p), _parts(q)
-    if not pb and not qb:
-        return _join(_lin(pa, mp, qa, mq), {}, dp * mp)
     return _join(_lin(pa, mp, qa, mq), _lin(pb, mp, qb, mq), dp * mp)
 
 
