@@ -136,7 +136,8 @@ def cmd_numeric(args) -> int:
         try:
             gen = generator(label, args.gen)
         except (UnsupportedSystem, KeyError) as exc:
-            return _input_error(str(exc))
+            # args[0], not str(exc): str of a KeyError is the repr of its message
+            return _input_error(exc.args[0])
         params, initial, t1 = NUMERIC_DEFAULTS[label]
         head = {"system": label, "generator": args.gen}
         tol, at_eps = args.tol, ""

@@ -56,12 +56,22 @@ class FactoredFrac:
     def to_ratfn(self) -> RatFn:
         return RatFn(_expand(self.num_facs, self.num), _expand(self.den_facs))
 
-    def substitute(self, bindings: dict[Symbol, RatFn]) -> "FactoredFrac":
+    def substitute(
+        self, bindings: dict[Symbol, RatFn], images: dict | None = None
+    ) -> "FactoredFrac":
+        """The image under the simultaneous substitution `bindings`.
+
+        `images` memoizes the image of each atom (body, split, extra
+        denominators), which depends only on the atom and the bindings.
+        Callers may share one table across calls only when every call passes
+        the same bindings; its entries are read, never mutated.
+        """
         # in binding order, so the peel order (and the printed form) does
         # not depend on Poly.__hash__
         binding_dens = list(dict.fromkeys(
             b.den for b in bindings.values() if not b.den.is_one()))
-        images: dict[Poly, tuple[Poly, dict[Poly, int], dict[Poly, int]]] = {}
+        if images is None:
+            images = {}
 
         def image(f: Poly) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
             got = images.get(f)

@@ -11,6 +11,10 @@ action, so `numeric backlund` never loads it.
 Word composition convention: apply_word((u, v), f) = u(v(f)), i.e. the
 rightmost letter acts first and each application is a simultaneous
 substitution of that letter's table into the accumulated expression.
+A letter's bindings never change, so the image of each atom under it is
+computed once per process: every word action shares the letter's image
+table (_letter_images), and words that pass through the same intermediate
+factors, as the relations of one group do, substitute each factor once.
 """
 
 from __future__ import annotations
@@ -172,8 +176,14 @@ def apply_word(label: str, word: Word, f: RatFn) -> RatFn:
             raise KeyError(f"W_{label} has no generator {name!r}")
     state = FactoredFrac.from_ratfn(f)
     for name in reversed(word):
-        state = state.substitute(group[name].action)
+        state = state.substitute(group[name].action, _letter_images(label, name))
     return state.to_ratfn()
+
+
+@cache
+def _letter_images(label: str, name: str) -> dict:
+    """The atom image table of one letter, shared by all its word actions."""
+    return {}
 
 
 def verify_relation(label: str, word: Word) -> bool:

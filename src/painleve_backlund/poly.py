@@ -22,7 +22,7 @@ A + sqrt2*B into two integer parts that run through the same loops.
 A scalar of Q(sqrt2) is a constant Poly, multiplied, compared and inverted
 (by try_div) in the same kernel.  No other module reads the stored format:
 coefficients() gives a, b of each a + b*sqrt2 as Fractions.  `fractions` is
-imported only where a Fraction is built, so float evaluation never loads it.
+imported only where a Fraction is built, so evaluation never loads it.
 
 Exponents stay below 2^15 (see symbols.py); a product, monomial shift or
 power whose result would reach 2^15 raises MonomialOverflow.
@@ -280,22 +280,20 @@ class Poly:
     # ------------------------------------------------------------------
     # evaluation and slicing
 
-    def eval_exact(self, values: dict[Symbol, Fraction]) -> "Poly":
+    def eval_exact(self, values: dict[Symbol, Fraction | tuple[int, int]]) -> "Poly":
         """Evaluate at rational points, to a constant; every used symbol must be bound.
 
-        A bound value n/d with top exponent m in the polynomial contributes
-        n^e * d^(m-e) to a term of exponent e, so the sum stays an integer
-        over den * prod d^m.
+        A value is an int, a Fraction or a pair (n, d) of ints, d > 0,
+        meaning n/d.  A bound value n/d with top exponent m in the polynomial
+        contributes n^e * d^(m-e) to a term of exponent e, so the sum stays
+        an integer over den * prod d^m.
         """
-        from fractions import Fraction
-
         tables = []
         scale = self.den
         for s, v in values.items():
             m = self.max_exponent(s)
             if m:
-                v = Fraction(v)
-                n, d = v.numerator, v.denominator
+                n, d = v if type(v) is tuple else v.as_integer_ratio()
                 tables.append((SHIFTS[s.index], [n**e * d ** (m - e) for e in range(m + 1)]))
                 scale *= d**m
 

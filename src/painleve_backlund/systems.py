@@ -107,21 +107,39 @@ def poisson_bracket(
     return f.partial(p) * g.partial(q) - f.partial(q) * g.partial(p)
 
 
+@cache
+def _flow(label: str) -> tuple[RatFn, RatFn]:
+    """(H_p, H_q) of system J: delta q = H_p and delta p = -H_q."""
+    H = system(label).hamiltonian
+    return H.partial(p_), H.partial(q_)
+
+
 def derivation_apply(label: str, f: RatFn) -> RatFn:
     """Apply the derivation of system J to a rational function.
 
     delta f = f_t * w(t) + f_q * {H, q} + f_p * {H, p}, parameters constant.
     """
-    sys = system(label)
-    H = sys.hamiltonian
-    out = f.partial(t_) * sys.t_weight
+    H_p, H_q = _flow(label)
+    out = f.partial(t_) * system(label).t_weight
     dq = f.partial(q_)
     if not dq.is_zero():
-        out = out + dq * H.partial(p_)
+        out = out + dq * H_p
     dp = f.partial(p_)
     if not dp.is_zero():
-        out = out - dp * H.partial(q_)
+        out = out - dp * H_q
     return out
+
+
+@cache
+def _constraint_binding(label: str) -> dict[Symbol, RatFn]:
+    """{alpha0: 1 - (rest of the weighted sum)}, or {} for a system without
+    parameters.  Shared by every caller: read it, never mutate it."""
+    sys = system(label)
+    rest = RatFn.const(1)
+    for c, s in zip(sys.constraint_coeffs[1:], sys.params[1:]):
+        rest = rest - RatFn.variable(s) * RatFn.const(c)
+    # Leading constraint coefficient is 1 for every system.
+    return {sys.params[0]: rest} if sys.params else {}
 
 
 def reduce_constraint(label: str, f: RatFn) -> RatFn:
@@ -132,15 +150,7 @@ def reduce_constraint(label: str, f: RatFn) -> RatFn:
     Hamiltonian (derivation commutation, degenerated limits) hold on that
     hyperplane, not in free parameters: H_J is normalized against it.
     """
-    sys = system(label)
-    if not sys.params:
-        return f
-    first = sys.params[0]
-    rest = RatFn.const(1)
-    for c, s in zip(sys.constraint_coeffs[1:], sys.params[1:]):
-        rest = rest - RatFn.variable(s) * RatFn.const(c)
-    # Leading constraint coefficient is 1 for every system.
-    return f.substitute({first: rest})
+    return f.substitute(_constraint_binding(label))
 
 
 def equal_mod_constraint(label: str, f: RatFn, g: RatFn) -> bool:

@@ -49,3 +49,36 @@ def test_symbolic_records_fail_with_a_witness(monkeypatch):
     residual = dg.hamiltonian_limit_residual(dg.arrow("VI", "V"))
     assert ham.outcome == "fail"
     assert ham.witness == print_expr(residual) and not residual.is_zero()
+
+
+def test_group_checks_stay_within_their_work_budget(monkeypatch):
+    # With cold caches, all 89 group ids cost at most 3,400 products and
+    # 1,350 trial divisions: each letter maps an atom once, and H_p, H_q and
+    # the constraint binding are built once per system.  Recomputing them
+    # costs 5,088 and 2,289.
+    from painleve_backlund import groups as gr, systems
+    from painleve_backlund.poly import Poly
+
+    for module in (gr, systems):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    ids = [i for label in gr.GROUP_LABELS for i in ck.group_check_ids(label)]
+    for label in gr.GROUP_LABELS:
+        systems.system(label)  # parse the tables before counting
+    counts = {"mul": 0, "try_div": 0}
+    mul, try_div = Poly.__mul__, Poly.try_div
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_try_div(self, other):
+        counts["try_div"] += 1
+        return try_div(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly, "try_div", counting_try_div)
+    outcomes = [ck.run_check(i).outcome for i in ids]
+    assert len(ids) == 89 and set(outcomes) == {"pass"}
+    assert counts["mul"] <= 3400 and counts["try_div"] <= 1350, counts

@@ -88,6 +88,12 @@ def test_numeric_bad_generator(capsys):
     assert code == 2
 
 
+def test_unknown_generator_message_is_printed_without_quotes(capsys):
+    code = main(["numeric", "backlund", "--system", "II", "--gen", "s5"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: W_II has no generator 's5'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-groups", "--system", "IV"),
     ("degenerate", "IV", "II", "--what", "params"),

@@ -3,6 +3,7 @@ import pytest
 from painleve_backlund.exprio import parse_expr as P
 from painleve_backlund.groups import (
     GROUP_LABELS,
+    _letter_images,
     apply_word,
     field_symbols,
     fundamental_relations,
@@ -17,6 +18,8 @@ from painleve_backlund.groups import (
 from painleve_backlund.ratfn import RatFn, ratfn_equal
 from painleve_backlund.symbols import p_, q_
 from painleve_backlund.systems import UnsupportedSystem
+
+from conftest import rng_for
 
 
 def test_group_sizes_and_types():
@@ -127,3 +130,30 @@ def test_unknown_generator():
         generator("VI", "s9")
     with pytest.raises(KeyError):
         apply_word("VI", ("s9",), P("q"))
+
+
+def test_letter_memo_returns_what_a_cold_memo_returns(seed):
+    # The image of an atom under a letter depends only on the atom and the
+    # letter's bindings, so a memo warmed by other words changes nothing.
+    # Words are seeded picks among the 1-4 letter pieces of the relation
+    # words, the states the relation checks build.
+    rng = rng_for(seed, "letter-memo")
+    for label in GROUP_LABELS:
+        pieces = sorted({
+            word[i:i + k]
+            for _, word in fundamental_relations(label)
+            for k in range(1, 5) for i in range(len(word) - k + 1)
+        })
+        cases = [
+            (word, RatFn.variable(s))
+            for word in rng.sample(pieces, min(6, len(pieces)))
+            for s in field_symbols(label)
+        ]
+        for word, f in cases:
+            apply_word(label, word, f)
+        assert all(_letter_images(label, name) for word, _ in cases for name in word)
+        warm = [apply_word(label, word, f) for word, f in cases]
+        for (word, f), got in zip(cases, warm):
+            _letter_images.cache_clear()
+            cold = apply_word(label, word, f)
+            assert (got.num, got.den) == (cold.num, cold.den), (label, word, f)

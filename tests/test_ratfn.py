@@ -143,6 +143,27 @@ def test_canonical_denominator_is_monic():
     assert f.den.leading_coeff().is_one()
 
 
+def test_precheck_first_point_is_pinned(monkeypatch):
+    # the seeded sample values, passed as (n, d) pairs in registry order;
+    # as Fractions they read alpha0 = -5/4, alpha1 = -3/4, t = 2, q = 1,
+    # p = 1, T = 3/4
+    from painleve_backlund.poly import Poly
+
+    points = []
+    eval_exact = Poly.eval_exact
+
+    def spy(self, values):
+        points.append({s.name: v for s, v in values.items()})
+        return eval_exact(self, values)
+
+    monkeypatch.setattr(Poly, "eval_exact", spy)
+    assert not ratfn_equal(P("alpha0*q + p/t"), P("alpha1*q + T"))
+    assert list(points[0].items()) == [
+        ("alpha0", (-5, 4)), ("alpha1", (-3, 4)), ("t", (6, 3)),
+        ("q", (2, 2)), ("p", (4, 4)), ("T", (3, 4)),
+    ]
+
+
 PRECHECK_SCRIPT = """
 import contextlib, io, json
 from painleve_backlund import cli

@@ -1,10 +1,12 @@
 import pytest
 
 from painleve_backlund.exprio import parse_expr as P
-from painleve_backlund.ratfn import ratfn_equal
+from painleve_backlund.ratfn import DenominatorVanishes, RatFn, ratfn_equal
 from painleve_backlund.symbols import p_, q_, t_
 from painleve_backlund.systems import (
+    LABELS,
     UnsupportedSystem,
+    _constraint_binding,
     derivation_apply,
     hamiltonian,
     poisson_bracket,
@@ -128,3 +130,65 @@ def test_derivation_kills_constraint():
 def test_reduce_constraint():
     reduced = reduce_constraint("II", P("alpha0 + alpha1"))
     assert ratfn_equal(reduced, P("1"))
+
+
+def uncached_derivation_apply(label, f):
+    """derivation_apply with H_p and H_q differentiated on every call."""
+    sys = system(label)
+    H = sys.hamiltonian
+    out = f.partial(t_) * sys.t_weight
+    dq = f.partial(q_)
+    if not dq.is_zero():
+        out = out + dq * H.partial(p_)
+    dp = f.partial(p_)
+    if not dp.is_zero():
+        out = out - dp * H.partial(q_)
+    return out
+
+
+def uncached_reduce_constraint(label, f):
+    """reduce_constraint with the alpha0 binding built on every call."""
+    sys = system(label)
+    if not sys.params:
+        return f
+    rest = RatFn.const(1)
+    for c, s in zip(sys.constraint_coeffs[1:], sys.params[1:]):
+        rest = rest - RatFn.variable(s) * RatFn.const(c)
+    return f.substitute({sys.params[0]: rest})
+
+
+def outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except DenominatorVanishes:
+        return "vanishes"
+    return got.num, got.den
+
+
+def test_cached_flow_and_constraint_match_the_uncached_formulas(seed):
+    rng = rng_for(seed, "systems-caches")
+    for label in LABELS:
+        syms = system(label).params[:2] + (t_, q_, p_)
+        for _ in range(6):
+            f = rand_ratfn(rng, syms, max_terms=2)
+            assert outcome(derivation_apply, label, f) == outcome(
+                uncached_derivation_apply, label, f)
+            assert outcome(reduce_constraint, label, f) == outcome(
+                uncached_reduce_constraint, label, f)
+
+
+def test_constraint_binding_is_shared_and_left_unmutated(capsys):
+    from painleve_backlund.cli import main
+    from painleve_backlund.exprio import print_expr
+
+    def printed(binding):
+        return {s.name: print_expr(f) for s, f in binding.items()}
+
+    bindings = {label: _constraint_binding(label) for label in LABELS}
+    before = {label: printed(b) for label, b in bindings.items()}
+    assert before["II"] == {"alpha0": "-alpha1 + 1"} and before["I"] == {}
+    assert main(["verify-groups"]) == 0
+    capsys.readouterr()
+    for label, b in bindings.items():
+        assert _constraint_binding(label) is b
+        assert printed(b) == before[label]
