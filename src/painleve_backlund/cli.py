@@ -273,14 +273,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.jobs < 1:
         return _input_error(f"--jobs must be at least 1, got {args.jobs}")
-    for name in ("h", "eps"):
-        value = getattr(args, name, 1.0)
-        if not 0 < value < math.inf:  # also refuses nan
-            return _input_error(f"--{name} must be positive and finite, got {value}")
-    for name in ("t1", "tol"):
+    for name in ("h", "eps", "tol"):
         value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            return _input_error(f"--{name} must be finite, got {value}")
+        if value is not None and not 0 < value < math.inf:  # also refuses nan
+            return _input_error(f"--{name} must be positive and finite, got {value}")
+    t1 = getattr(args, "t1", None)
+    if t1 is not None and not math.isfinite(t1):
+        return _input_error(f"--t1 must be finite, got {t1}")
     initial = getattr(args, "initial", None)
     if initial is not None and not all(map(math.isfinite, initial)):
         return _input_error(

@@ -116,7 +116,7 @@ class _SlicedAction:
 
 class LiftedGenerator:
     __slots__ = ("arrow", "name", "word", "param_actions", "eps_series",
-                 "var_parts", "exact_var", "eps_powers")
+                 "var_parts", "exact_var", "eps_powers", "param_images")
 
     def __init__(self, arrow: DegenerationArrow, name: str, word: Word,
                  param_actions: dict[Symbol, RatFn], eps_series: EpsSeries):
@@ -128,14 +128,34 @@ class LiftedGenerator:
         self.var_parts: dict[Symbol, _SlicedAction] = {}
         self.exact_var: dict[Symbol, RatFn] | None = None
         self.eps_powers: dict[int, EpsSeries] = {}
+        self.param_images: dict[RatFn, RatFn] = {}
 
     def eps_series_power(self, n: int) -> EpsSeries:
-        """eps_series**n, kept on the lift; S^n is built as S^(n-1)*S."""
+        """S^n for the branch S = eps_series, to order min(arrow.trunc, (S**n).trunc).
+
+        Its one consumer, _act_on_eps_series, composes at the arrow's order,
+        so orders above it are never built.  Kept on the lift.  For n >= 2,
+        S^n is S^(n-1) times S truncated; every kept coefficient is the sum
+        the untruncated product forms.  n <= 1 starts from the untruncated S,
+        since inverting a truncated S would lose orders.
+        """
         pw = self.eps_powers.get(n)
         if pw is None:
-            pw = self.eps_series**n if n < 2 else self.eps_series_power(n - 1) * self.eps_series
+            if n < 2:
+                pw = self.eps_series**n
+            else:
+                pw = self.eps_series_power(n - 1) * self.eps_series_power(1)
+            pw = pw.truncate(min(self.arrow.trunc, pw.trunc))
             self.eps_powers[n] = pw
         return pw
+
+    def param_image(self, f: RatFn) -> RatFn:
+        """f with the lifted parameter actions substituted, kept on the lift
+        (the bindings of a lift never change)."""
+        image = self.param_images.get(f)
+        if image is None:
+            image = self.param_images[f] = f.substitute(self.param_actions)
+        return image
 
     def action_series(self, s: Symbol, order: int | None = None) -> EpsSeries:
         """The realized action on a lifted field generator, as a series.
@@ -801,9 +821,7 @@ def verify_subgroup_relation(arr: DegenerationArrow, rel: str, side: str) -> boo
     state_eps = EpsSeries.eps_power(1, arr.trunc)
     for s_name in reversed(s_word):
         lifted = lift_generator(arr, "S" + s_name[1:])
-        state_params = {
-            Ai: f.substitute(lifted.param_actions) for Ai, f in state_params.items()
-        }
+        state_params = {Ai: lifted.param_image(f) for Ai, f in state_params.items()}
         state_eps = _act_on_eps_series(lifted, state_eps)
     return all(
         ratfn_equal(state_params[A[i]], RatFn.variable(A[i]))
@@ -823,6 +841,5 @@ def _act_on_eps_series(lifted: LiftedGenerator, s: EpsSeries) -> EpsSeries:
     """Apply a lifted generator to a series in eps with A-coefficients."""
     out = EpsSeries.zero(s.trunc)
     for n, c in s.coeffs.items():
-        moved = c.substitute(lifted.param_actions)
-        out = out + lifted.eps_series_power(n).scale(moved)
+        out = out + lifted.eps_series_power(n).scale(lifted.param_image(c))
     return out

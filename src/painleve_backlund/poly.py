@@ -154,8 +154,7 @@ class Poly:
         return {s for s in REGISTRY if (used >> SHIFTS[s.index]) & MASK}
 
     def uses(self, s: Symbol) -> bool:
-        sh = SHIFTS[s.index]
-        return any((key >> sh) & MASK for key in self.terms)
+        return bool((reduce(or_, self.terms, 0) >> SHIFTS[s.index]) & MASK)
 
     def content_key(self) -> int:
         """Packed key of the largest monomial dividing every term."""
@@ -513,6 +512,11 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
 def _product(p: Poly, q: Poly) -> Poly:
     if not p.terms or not q.terms:
         return ZERO
+    # values are immutable and canonical, so a unit factor returns the other
+    if p.is_one():
+        return q
+    if q.is_one():
+        return p
     (pa, pb), (qa, qb) = _parts(p), _parts(q)
     den = p.den * q.den
     if not pb and not qb:

@@ -33,7 +33,9 @@ class RatFn:
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if num.is_zero():
-            self.num = Poly.zero()
+            den = P_ONE
+        if den.is_one():  # zero is 0/1; a unit den has no content and lead 1
+            self.num = num
             self.den = P_ONE
             return
         content = min_key(num.content_key(), den.content_key())

@@ -188,10 +188,12 @@ def test_nonpositive_step_is_refused(capsys):
     ("--t1", "nan"), ("--t1", "inf"), ("--t1=-inf",), ("--initial", "nan,1.0,1.0"),
     ("--initial", "0.0,inf,1.0"), ("--params", "nan,0.3"), ("--params", "0.3,inf"),
     ("--h", "inf"), ("--h", "nan"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--tol", "0"), ("--tol=-1e-6",),
 ])
 def test_numeric_backlund_refuses_nonfinite_input(capsys, option):
     # a non-finite t1 or step count crashes integrate, and the P_II flow
-    # never reads alpha0, so a nan there would pass as ok
+    # never reads alpha0, so a nan there would pass as ok; no deviation
+    # passes a tolerance at or below zero
     assert_input_error(capsys, "numeric", "backlund", "--system", "II",
                        "--gen", "s1", *option)
 
@@ -199,7 +201,7 @@ def test_numeric_backlund_refuses_nonfinite_input(capsys, option):
 @pytest.mark.parametrize("option", [
     ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"), ("--eps=-1e-3",),
     ("--h", "inf"), ("--t1", "nan"), ("--tol", "inf"),
-    ("--initial", "1.0,0.5,nan"), ("--params", "0.3,nan,0.3"),
+    ("--initial", "1.0,0.5,nan"), ("--params", "0.3,nan,0.3"), ("--tol", "0"), ("--tol=-1e-6",),
 ])
 def test_numeric_degeneration_refuses_bad_eps_and_nonfinite_input(capsys, option):
     # a nan or inf eps reads as a pole (a skip with exit 0), and eps 0 sets

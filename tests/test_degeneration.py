@@ -11,6 +11,7 @@ import painleve_backlund
 from painleve_backlund.degeneration import (
     ARROW_KEYS,
     UnsupportedArrow,
+    _act_on_eps_series,
     arrow,
     arrow_data_labels,
     arrows,
@@ -34,8 +35,10 @@ from painleve_backlund.degeneration import (
 )
 from painleve_backlund.checks import arrow_check_ids, run_check
 from painleve_backlund.exprio import parse_expr as P
-from painleve_backlund.ratfn import ratfn_equal
+from painleve_backlund.groups import fundamental_relations
+from painleve_backlund.ratfn import RatFn, ratfn_equal
 from painleve_backlund.series import (
+    FLOOR,
     DivergesAtZero,
     EpsSeries,
     binomial_series,
@@ -43,6 +46,8 @@ from painleve_backlund.series import (
     series_equal,
 )
 from painleve_backlund.symbols import A, P_, Q_, T_, eps
+
+from conftest import rand_ratfn, rng_for
 
 ALL = tuple(ARROW_KEYS)
 
@@ -476,9 +481,109 @@ def test_lifted_generator_caches_eps_series_powers():
             for n in range(-2, a.trunc + 1):
                 cached = lifted.eps_series_power(n)
                 direct = lifted.eps_series**n
-                assert cached.trunc == direct.trunc, (J, K, name, n)
+                # kept only to the arrow's order, where it is composed
+                assert cached.trunc == min(a.trunc, direct.trunc), (J, K, name, n)
                 assert series_equal(cached, direct), (J, K, name, n)
+                for k in range(FLOOR, cached.trunc + 1):
+                    assert cached.coeff(k) == direct.coeff(k), (J, K, name, n, k)
                 assert lifted.eps_series_power(n) is cached, (J, K, name, n)
+
+
+BIRATIONAL_AND_V_IV = (("VI", "V"), ("V", "III"), ("V", "IV"))
+
+
+def test_param_image_is_the_memoised_substitution(seed):
+    rng = rng_for(seed, "param-image")
+    for J, K in BIRATIONAL_AND_V_IV:
+        a = arrow(J, K)
+        for name in a.subgroup_words:
+            lifted = lift_generator(a, name)
+            syms = tuple(lifted.param_actions) + (eps,)
+            for f in [RatFn.variable(Ai) for Ai in lifted.param_actions] + [
+                rand_ratfn(rng, syms) for _ in range(10)
+            ]:
+                image = lifted.param_image(f)
+                assert image == f.substitute(lifted.param_actions), (J, K, name, f)
+                assert lifted.param_image(f) is image
+
+
+def untruncated_side_b_eps(arr, rel):
+    """Side (b)'s eps-series as composed with untruncated powers S^n =
+    S^(n-1)*S and every coefficient substituted afresh: the reference."""
+    state = EpsSeries.eps_power(1, arr.trunc)
+    for s_name in reversed(dict(fundamental_relations(arr.target))[rel]):
+        lifted = lift_generator(arr, "S" + s_name[1:])
+        S, powers = lifted.eps_series, {}
+
+        def power(n):
+            if n not in powers:
+                powers[n] = S**n if n < 2 else power(n - 1) * S
+            return powers[n]
+
+        out = EpsSeries.zero(state.trunc)
+        for n, c in state.coeffs.items():
+            out = out + power(n).scale(c.substitute(lifted.param_actions))
+        state = out
+    return state
+
+
+def test_side_b_series_match_the_untruncated_composition():
+    for J, K in BIRATIONAL_AND_V_IV:
+        a = arrow(J, K)
+        for rel, word in fundamental_relations(K):
+            state = EpsSeries.eps_power(1, a.trunc)
+            for s_name in reversed(word):
+                state = _act_on_eps_series(lift_generator(a, "S" + s_name[1:]), state)
+            ref = untruncated_side_b_eps(a, rel)
+            assert state.trunc == ref.trunc, (J, K, rel)
+            assert state.coeffs == ref.coeffs, (J, K, rel)
+
+
+RELATION_WORK_SCRIPT = """
+import json
+from painleve_backlund import checks, degeneration as dg, groups, systems
+from painleve_backlund.poly import Poly
+
+counts = {}
+mul = Poly.__mul__
+for J, K in (("VI", "V"), ("V", "III"), ("V", "IV")):
+    for module in (groups, systems, dg):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    groups.generators(J), groups.generators(K)
+    arr = dg.arrow(J, K)
+    ids = [i for i in checks.arrow_check_ids(arr) if "/relation/" in i]
+    calls = [0]
+
+    def spy(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    Poly.__mul__ = spy
+    outcomes = {checks.run_check(i).outcome for i in ids}
+    Poly.__mul__ = mul
+    counts[f"{J}-{K}"] = [len(ids), calls[0], sorted(outcomes)]
+print(json.dumps(counts))
+"""
+
+
+def test_relation_checks_stay_within_their_work_budget():
+    # Poly products over every relation/* id of an arrow, from empty caches
+    # and parsed group tables: a deterministic work count.  Composing side
+    # (b)'s eps-powers to order T+n+1 and substituting each coefficient
+    # afresh costs 6,819, 4,720 and 4,011 products.
+    src = Path(painleve_backlund.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", RELATION_WORK_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    budgets = {"VI-V": (20, 4_500), "V-III": (10, 3_000), "V-IV": (12, 2_450)}
+    for key, (n_ids, budget) in budgets.items():
+        ids, calls, outcomes = counts[key]
+        assert ids == n_ids and outcomes == ["pass"], (key, counts[key])
+        assert calls <= budget, (key, calls, budget)
 
 
 def test_transformed_system_factor():

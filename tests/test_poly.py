@@ -6,7 +6,7 @@ import pytest
 
 from painleve_backlund.exprio import parse_expr, print_poly
 from painleve_backlund.poly import ONE, SQRT2, MonomialOverflow, Poly, min_key
-from painleve_backlund.symbols import q_, sym, t_
+from painleve_backlund.symbols import MASK, REGISTRY, SHIFTS, eps, q_, sym, t_
 
 from conftest import rand_coeff, rand_poly, rng_for
 
@@ -186,6 +186,30 @@ def test_operations_keep_the_canonical_form(seed):
         g = rand_poly(rng, syms, sqrt2_prob=0.5)
         for h in (f + g, f - g, -f, f * g, f.partial(q_), (f * g).try_div(g) if g.terms else f):
             assert_canonical(h)
+
+
+def test_unit_factor_returns_the_other_operand(seed):
+    # a product with ONE skips the kernel; it must still be the same value
+    rng = rng_for(seed, "poly-unit-factor")
+    syms = (t_, q_)
+    cases = [Poly.zero(), ONE, SQRT2] + [rand_poly(rng, syms, sqrt2_prob=0.5) for _ in range(100)]
+    for f in cases:
+        for h in (f * ONE, ONE * f):
+            assert h == f and hash(h) == hash(f), f
+            assert_canonical(h)
+
+
+def test_uses_matches_the_per_term_definition(seed):
+    rng = rng_for(seed, "poly-uses")
+    cases = [Poly.zero(), ONE, SQRT2]
+    cases += [rand_poly(rng, rng.sample(REGISTRY, 3), max_terms=4, sqrt2_prob=0.5)
+              for _ in range(100)]
+    cases.append(P("q*eps^3 + t"))
+    for f in cases:
+        for s in REGISTRY:
+            per_term = any((key >> SHIFTS[s.index]) & MASK for key in f.terms)
+            assert f.uses(s) is per_term, (f, s)
+    assert cases[-1].uses(eps) and not cases[-1].uses(sym("p"))
 
 
 def test_monomial_overflow_is_named():

@@ -8,6 +8,7 @@ import pytest
 
 import painleve_backlund
 from painleve_backlund.exprio import parse_expr as P
+from painleve_backlund.poly import ONE as P_ONE, Poly, min_key
 from painleve_backlund.ratfn import (
     DenominatorVanishes,
     DivisionByZero,
@@ -16,7 +17,7 @@ from painleve_backlund.ratfn import (
 )
 from painleve_backlund.symbols import alpha, p_, q_, t_
 
-from conftest import rand_ratfn, rng_for
+from conftest import rand_poly, rand_ratfn, rng_for
 
 
 def test_add_same_denominator():
@@ -136,6 +137,35 @@ def test_canonicalization_idempotent(seed):
         f = rand_ratfn(rng, syms)
         again = RatFn(f.num, f.den)
         assert again.num == f.num and again.den == f.den
+
+
+def general_normalisation(num, den):
+    """RatFn.__init__ without its unit-denominator path: the reference."""
+    if num.is_zero():
+        return Poly.zero(), P_ONE
+    content = min_key(num.content_key(), den.content_key())
+    if content:
+        num = num.div_key(content)
+        den = den.div_key(content)
+    lead = den.leading_coeff()
+    if not lead.is_one():
+        inv = P_ONE.try_div(lead)
+        num = num * inv
+        den = den * inv
+    return num, den
+
+
+def test_unit_denominator_path_matches_the_general_normalisation(seed):
+    rng = rng_for(seed, "ratfn-unit-den")
+    syms = (q_, p_, t_)
+    for i in range(200):
+        num = rand_poly(rng, syms, max_terms=4, sqrt2_prob=0.5)
+        den = P_ONE if i % 2 else rand_poly(rng, syms, allow_zero=False, sqrt2_prob=0.5)
+        if den.is_zero():
+            continue
+        f = RatFn(num, den)
+        assert (f.num, f.den) == general_normalisation(num, den), (num, den)
+    assert (RatFn(Poly.zero()).num, RatFn(Poly.zero()).den) == (Poly.zero(), P_ONE)
 
 
 def test_canonical_denominator_is_monic():
