@@ -13,6 +13,8 @@ against report_schema.json.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import sys
 from functools import partial
@@ -270,6 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit, freeze every tracked object into the permanent generation, so
+    # that finalization skips traversing them; registered once per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     if args.jobs < 1:
         return _input_error(f"--jobs must be at least 1, got {args.jobs}")

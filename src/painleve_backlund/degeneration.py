@@ -575,12 +575,29 @@ def lift_generator(arr: DegenerationArrow, name: str) -> LiftedGenerator:
 
 
 def limit_action(arr: DegenerationArrow, name: str, X: Symbol) -> RatFn:
-    """eps -> 0 limit of the lifted action of S_name on X.
+    """eps -> 0 limit of the lifted action of S_name on X, in lowest terms.
 
     Raises DivergesAtZero when a negative order survives, which is what
-    distinguishes the chosen subgroup words from raw generators.
+    distinguishes the chosen subgroup words from raw generators.  Binding
+    denominators of the target generator are divided out while they divide
+    both num and den (S0 on P for VI->V and V->IV, on Q for IV->II).
     """
-    return lift_generator(arr, name).action_limit(X)
+    limit = lift_generator(arr, name).action_limit(X)
+    num, den = limit.num, limit.den
+    for d in () if den.is_const() else _target_binding_dens(arr, name):
+        while (d.ends_may_divide([(num, 1)]) and d.ends_may_divide([(den, 1)])
+               and (quo_den := den.try_div(d)) is not None
+               and (quo_num := num.try_div(d)) is not None):
+            num, den = quo_num, quo_den
+    return limit if num is limit.num else RatFn(num, den)
+
+
+@cache
+def _target_binding_dens(arr: DegenerationArrow, name: str) -> dict:
+    """The binding denominators of the target generator, in A, T, Q, P."""
+    dens = (b.den for b in generator(arr.target, "s" + name[1:]).action.values())
+    n = len(system(arr.target).params)
+    return dict.fromkeys(_relabel_to_target(RatFn(d), n).num for d in dens if not d.is_one())
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,10 @@ the rule for cancelling them depends only on the bindings:
     two sides cancel and nothing else does; a RatFn then comes back as the
     substituted num over the substituted den, unreduced;
   * if some binding has a denominator, powers of the binding denominators
-    are also peeled off each substituted polynomial, and the remaining
-    denominator atoms are trial-divided into the expanded numerator (sparse
-    trial division, which is unconditionally correct).
+    (one that is the power a^k of another counts as a^k) are also peeled
+    off each substituted polynomial, and the remaining denominator atoms are
+    trial-divided into the expanded numerator (sparse trial division, which
+    is unconditionally correct).
 
 Each polynomial cancels before it expands: its terms divide the binding
 denominators into their own factors and are summed over the lcm of what they
@@ -29,6 +30,8 @@ Word actions never need ring addition at this level.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .poly import ONE as P_ONE, Poly
 from .ratfn import DenominatorVanishes, RatFn
@@ -68,15 +71,16 @@ class FactoredFrac:
         """
         # in binding order, so the peel order (and the printed form) does
         # not depend on Poly.__hash__
-        binding_dens = list(dict.fromkeys(
-            b.den for b in bindings.values() if not b.den.is_one()))
+        roots = _binding_roots(tuple(dict.fromkeys(
+            b.den for b in bindings.values() if not b.den.is_one())))
+        binding_dens = list(dict.fromkeys(a for a, _ in roots.values()))
         if images is None:
             images = {}
 
         def image(f: Poly) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
             got = images.get(f)
             if got is None:
-                body, pending, extra_den = _subst_poly(f, bindings)
+                body, pending, extra_den = _subst_poly(f, bindings, roots)
                 split: dict[Poly, int] = {}
                 if binding_dens and not body.is_zero():
                     body, split = _peel(body, binding_dens, pending)
@@ -129,7 +133,7 @@ class FactoredFrac:
                 _bump(den_facs, f, -m)
         # Remaining denominator atoms may divide the expanded numerator.
         for f in list(den_facs) if trial_divide else ():
-            if f.is_const():
+            if f.is_const() or not f.ends_may_divide([(num, 1)]):
                 continue
             while den_facs.get(f, 0):
                 quo = num.try_div(f)
@@ -187,16 +191,35 @@ def _peel(poly: Poly, dens: list[Poly], pending: dict) -> tuple[Poly, dict[Poly,
     return poly, counts
 
 
+@cache
+def _binding_roots(dens: tuple[Poly, ...]) -> dict[Poly, tuple[Poly, int]]:
+    """{d: (a, k)} with d = a**k for another binding denominator a (k >= 2),
+    else (d, 1).  a**k is formed only when each exponent in the lex-leading
+    and trailing keys of d is k times a's.  Kept for the process."""
+    def ends(f: Poly) -> list[int]:
+        return [(key >> sh) & MASK for key in (max(f.terms), min(f.terms)) for sh in SHIFTS]
+
+    roots = {d: (d, 1) for d in dens}
+    for d in dens:
+        for a in dens:
+            k = 0 if a is d or a.is_const() else max(ends(d)) // max(ends(a))
+            if k >= 2 and ends(d) == [k * e for e in ends(a)] and a**k == d:
+                roots[d] = (a, k)
+                break
+    return roots
+
+
 def _subst_poly(
-    poly: Poly, bindings: dict[Symbol, RatFn]
+    poly: Poly, bindings: dict[Symbol, RatFn], roots: dict[Poly, tuple[Poly, int]]
 ) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
     """(num, pending, den): the image is num * prod(pending) / prod(den),
-    den = prod over s of den(s)^max_deg(s).  Terms with equal exponents e(s)
-    form a group; each binding denominator is trial-divided into the group's
-    num(s)^e(s) first (attempts cached), the groups are summed over the lcm
-    of the powers they keep, and den over that lcm is pending."""
+    den = prod over s of a^(k*max_deg(s)), where den(s) = a^k in `roots`.
+    Terms with equal exponents e(s) form a group; each atom a is
+    trial-divided into the group's num(s)^e(s) first (attempts cached), the
+    groups are summed over the lcm of the powers they keep, and den over
+    that lcm is pending."""
     tables = []
-    top: dict[Poly, int] = {}  # den: binding denominator -> power, binding order
+    top: dict[Poly, int] = {}  # den: atom -> power, binding order
     bound = 0  # the key fields of the symbols substituted
     for s, b in bindings.items():
         d = poly.max_exponent(s)
@@ -204,12 +227,13 @@ def _subst_poly(
             continue
         sh = SHIFTS[s.index]
         bound |= MASK << sh
-        if not b.den.is_one():
-            top[b.den] = top.get(b.den, 0) + d
+        root = roots.get(b.den)  # None for a polynomial binding
+        if root:
+            top[root[0]] = top.get(root[0], 0) + root[1] * d
         num_pows = [P_ONE, b.num]
         while len(num_pows) <= d:
             num_pows.append(num_pows[-1] * b.num)
-        tables.append((sh, num_pows, None if b.den.is_one() else b.den))
+        tables.append((sh, num_pows, root))
     if not tables:
         return poly, {}, {}
     tried: dict[tuple[Poly, Poly], Poly | None] = {}
@@ -218,12 +242,12 @@ def _subst_poly(
     for key, coeff in poly.numerator_groups(bound).items():
         factors = []
         left = dict.fromkeys(top, 0)
-        for sh, num_pows, den in tables:
+        for sh, num_pows, root in tables:
             e = (key >> sh) & MASK
             if e:
                 factors.append(num_pows[e])
-                if den is not None:
-                    left[den] += e
+                if root:
+                    left[root[0]] += root[1] * e
         for den in top:
             for i, f in enumerate(factors):
                 while left[den]:

@@ -7,11 +7,14 @@ Flows are integrated with classical fixed-step RK4 on
 where w is the system's time weight, so windows must exclude the zeros of w
 (t = 0 for V and III, t in {0, 1} for VI).  Everything is plain double
 arithmetic; expressions are compiled once per run by folding the parameter
-values into float coefficient tables, and each table becomes generated
-straight-line code: one function per rational function, and one per
-degenerate flow component with all its eps orders inlined.  The generated
-code performs the same IEEE operations in the same order as summing the
-tables term by term, so every value is bit-identical to that loop.
+values into float coefficient tables, and the tables become generated
+straight-line code: one function per flow, returning (dq/w, dp/w) with all
+eps orders of a degenerate flow inlined, and one per Backlund map, returning
+(t', q', p').  Denominators that fold to constants are decided when the code
+is generated.  The generated code performs the same IEEE operations in the
+same order as summing the tables term by term, so every value is
+bit-identical to that loop; a flow component compiles on its own only when
+it is called directly.
 
 `degeneration` is imported only when a degenerate flow is compiled, so
 `numeric backlund` loads neither it nor `series`; the annotations naming
@@ -91,26 +94,47 @@ def _compile_poly(poly, fold: dict[Symbol, float], variables=(t_, q_, p_)):
     return list(terms.items())
 
 
-def _generate(quotients, scales=None, negate=False):
-    """Emit one straight-line function (t, q, p) -> float.
+class _Component:
+    """One generated output over (t, q, p): the quotient n/d of two float
+    term tables, or 0 + s_0*(n_0/d_0) + s_1*(n_1/d_1) + ... when `scales`
+    is given, negated when `negate` is set.  It carries its tables for
+    _generate to fuse, and compiles on its own only when called directly."""
 
-    `quotients` is a list of (numerator, denominator) term tables.  With no
-    `scales` the function returns the one quotient n/d; otherwise it returns
-    0 + s_0*(n_0/d_0) + s_1*(n_1/d_1) + ..., negated when `negate` is set.
-    Each sum runs left to right from 0.0 in table order, each term is
-    c*t**et*q**eq*p**ep with the **0 and **1 factors dropped and every power
-    of exponent >= 2 computed once, so the result is bit-identical to the
-    term-by-term loop.  Coefficients and scales live in the function's
-    globals and are never formatted into the source.  NearPole is raised on
-    an OverflowError from a power and on a denominator of magnitude at most
-    POLE_GUARD, before anything divides by it.
+    __slots__ = ("quotients", "scales", "negate", "_fn")
+
+    def __init__(self, quotients, scales=None, negate=False):
+        self.quotients, self.scales, self.negate, self._fn = quotients, scales, negate, None
+
+    def __call__(self, t, q, p):
+        self._fn = self._fn or _generate([self])
+        return self._fn(t, q, p)
+
+
+def _constant(table):
+    """The value 0.0 + c of the table [((0, 0, 0), c)], else None."""
+    return 0.0 + table[0][1] if len(table) == 1 and table[0][0] == (0, 0, 0) else None
+
+
+def _generate(components, weight=None):
+    """Emit one straight-line function (t, q, p) -> value, or -> tuple of
+    values for several components, each divided by the `weight` component.
+
+    Components are emitted in order, the weight first: each power of
+    exponent >= 2 is computed once, before the first component using it,
+    then the component's denominators are tested in table order, so the
+    first NearPole raised (a power's OverflowError, a denominator of
+    magnitude at most POLE_GUARD, a vanishing weight) is the one separate
+    evaluators called in turn would raise.  Sums run left to right from 0.0
+    in table order over terms c*t**et*q**eq*p**ep, dropping **0 and **1, so
+    every value is bit-identical to the term-by-term loop.  Constant
+    denominators are folded: 1.0 drops its division and test, any other has
+    its test decided; a weight of constant 1 drops its division.
+    Coefficients and scales live in the globals, never in the source.
     """
     env = {"NearPole": NearPole, "POLE_GUARD": POLE_GUARD}
-    powers = sorted({
-        (i, e)
-        for pair in quotients for table in pair for mono, _ in table
-        for i, e in enumerate(mono) if e >= 2
-    })
+    pole = "raise NearPole('denominator magnitude below 1e-12', (t, q, p))"
+    lines = ["def evaluate(t, q, p):"]
+    done = set()
 
     def total(table) -> str:
         parts = ["0.0"]
@@ -123,36 +147,51 @@ def _generate(quotients, scales=None, negate=False):
             ]))
         return " + ".join(parts)
 
-    lines = ["def evaluate(t, q, p):"]
-    if powers:
-        lines += [
-            "    try:",
-            *(f"        {'tqp'[i]}{e} = {'tqp'[i]}**{e}" for i, e in powers),
-            "    except OverflowError:",
-            "        raise NearPole('value overflow during evaluation', (t, q, p)) from None",
-        ]
-    for k, (_, den) in enumerate(quotients):
-        lines += [
-            f"    d{k} = {total(den)}",
-            f"    if abs(d{k}) <= POLE_GUARD:",
-            "        raise NearPole('denominator magnitude below 1e-12', (t, q, p))",
-        ]
-    quots = [f"({total(num)}) / d{k}" for k, (num, _) in enumerate(quotients)]
-    if scales is None:
-        (result,) = quots
-    else:
-        for k, s in enumerate(scales):
-            env[f"s{k}"] = s
-        result = " + ".join(["0"] + [f"s{k}*({q})" for k, q in enumerate(quots)])
-        if negate:
-            result = f"-({result})"
-    lines.append(f"    return {result}")
+    def emit(k, comp) -> None:
+        powers = sorted({
+            (i, e) for pair in comp.quotients for table in pair for mono, _ in table
+            for i, e in enumerate(mono) if e >= 2} - done)
+        done.update(powers)
+        if powers:
+            lines.extend([
+                "    try:",
+                *(f"        {'tqp'[i]}{e} = {'tqp'[i]}**{e}" for i, e in powers),
+                "    except OverflowError:",
+                "        raise NearPole('value overflow during evaluation', (t, q, p)) from None",
+            ])
+        quots = []
+        for j, (num, den) in enumerate(comp.quotients):
+            name, value = f"d{k}_{j}", _constant(den)
+            if value is None:
+                lines.extend([f"    {name} = {total(den)}",
+                              f"    if abs({name}) <= POLE_GUARD:", f"        {pole}"])
+            elif value != 1.0:
+                env[name] = value
+                if abs(value) <= POLE_GUARD:
+                    lines.append(f"    {pole}")
+            quots.append(f"({total(num)})" + (f" / {name}" if value != 1.0 else ""))
+        if comp.scales is not None:
+            env.update({f"s{k}_{j}": s for j, s in enumerate(comp.scales)})
+            summed = " + ".join(["0"] + [f"s{k}_{j}*({q})" for j, q in enumerate(quots)])
+            quots = [f"-({summed})" if comp.negate else summed]
+        lines.append(f"    v{k} = {quots[0]}")
+
+    divide = ""
+    if weight is not None and [
+            (_constant(n), _constant(d)) for n, d in weight.quotients] != [(1.0, 1.0)]:
+        emit("w", weight)
+        lines += ["    if abs(vw) <= POLE_GUARD:",
+                  "        raise NearPole('time weight vanishes', (t, q, p))"]
+        divide = " / vw"
+    for k, comp in enumerate(components):
+        emit(k, comp)
+    lines.append("    return " + ", ".join(f"v{k}{divide}" for k in range(len(components))))
     exec(compile("\n".join(lines), "<numeric evaluator>", "exec"), env)
     return env["evaluate"]
 
 
-def _compile_ratfn(f: RatFn, fold: dict[Symbol, float]):
-    return _generate([(_compile_poly(f.num, fold), _compile_poly(f.den, fold))])
+def _compile_ratfn(f: RatFn, fold: dict[Symbol, float]) -> _Component:
+    return _Component([(_compile_poly(f.num, fold), _compile_poly(f.den, fold))])
 
 
 def _flow_functions(label: str, params: dict[Symbol, float]):
@@ -167,6 +206,9 @@ def _flow_functions(label: str, params: dict[Symbol, float]):
 def _rk4(dq, dp, weight, t0, q0, p0, t1, h):
     """Fixed-step classical RK4; returns the sample list and a completion flag.
 
+    The field (t, q, p) -> (dq/w, dp/w) is one generated function built from
+    the term tables of the three components, so each stage makes one call;
+    its values are bit-identical to calling the three components in turn.
     State updates use Kahan compensation and stage times come from the step
     index, keeping the roundoff floor well below the truncation error so the
     h^4 order is visible down to small steps.
@@ -176,12 +218,7 @@ def _rk4(dq, dp, weight, t0, q0, p0, t1, h):
     step = (t1 - t0) / steps
     q, p = q0, p0
     cq = cp = 0.0  # Kahan compensations
-
-    def field(tt, qq, pp):
-        w = weight(tt, qq, pp)
-        if abs(w) <= POLE_GUARD:
-            raise NearPole("time weight vanishes", (tt, qq, pp))
-        return dq(tt, qq, pp) / w, dp(tt, qq, pp) / w
+    field = _generate([dq, dp], weight)
 
     for i in range(steps):
         t = t0 + i * step
@@ -263,12 +300,8 @@ def backlund_numeric_check(
     new_params = {
         s: eval_ratfn(gen.acts_on(s), params) for s in system(label).params
     }
-    map_t = _compile_ratfn(gen.acts_on(t_), params)
-    map_q = _compile_ratfn(gen.acts_on(q_), params)
-    map_p = _compile_ratfn(gen.acts_on(p_), params)
-    mapped = [
-        (map_t(t, q, p), map_q(t, q, p), map_p(t, q, p)) for t, q, p in base.samples
-    ]
+    mapping = _generate([_compile_ratfn(gen.acts_on(s), params) for s in (t_, q_, p_)])
+    mapped = [mapping(t, q, p) for t, q, p in base.samples]
 
     t0m = mapped[0][0]
     t1m = mapped[-1][0]
@@ -307,7 +340,7 @@ def _compile_series_flow(arr: DegenerationArrow, eps_value: float, params: dict[
                 _compile_poly(d.num, params, (T_, Q_, P_)),
                 _compile_poly(d.den, params, (T_, Q_, P_)),
             ))
-        return _generate(quotients, scales, negate)
+        return _Component(quotients, scales, negate)
 
     dq = compile_partial(P_, False)  # {H, Q} = dH/dP
     dp = compile_partial(Q_, True)   # {H, P} = -dH/dQ

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import painleve_backlund
 from painleve_backlund.cli import main
 from painleve_backlund.report import load_schema
 
@@ -256,3 +261,61 @@ def test_bad_initial_names_the_expected_form(capsys, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --initial: expected t0,q0,p0: three numbers" in err
+
+
+EXIT_SCRIPT = """
+import atexit, gc, json, sys
+
+calls = []
+freeze = gc.freeze
+
+
+def counting_freeze():
+    calls.append(1)
+    freeze()
+
+
+def probe():
+    # registered before main, so it runs after the hook main registers
+    print("probe", json.dumps([len(calls), gc.get_freeze_count() > 0]), file=sys.stderr)
+
+
+gc.freeze = counting_freeze
+atexit.register(probe)
+import painleve_backlund.cli as cli
+
+counts = []
+rc = cli.main(["numeric", "backlund", "--system", "II", "--gen", "s1", "--format", "json"])
+counts.append([rc, gc.get_freeze_count(), len(calls)])
+rc = cli.main(sys.argv[1:])
+counts.append([rc, gc.get_freeze_count(), len(calls)])
+print("counts", json.dumps(counts), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-groups", "--system", "II", "--format", "json"], 0),
+    (["numeric", "degeneration", "--arrow", "III", "II", "--format", "json"], 1),
+    (["numeric", "backlund", "--system", "II", "--gen", "s1", "--h", "0"], 2),
+])
+def test_every_process_freezes_its_objects_once_at_exit(argv, code):
+    # gc.freeze runs once, at exit, however often main ran; the reports are
+    # flushed whole and the exit code is main's
+    env = dict(os.environ, PYTHONPATH=str(Path(painleve_backlund.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", EXIT_SCRIPT, *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = dict(line.split(" ", 1) for line in proc.stderr.splitlines()
+                 if line.startswith(("counts ", "probe ")))
+    assert json.loads(lines["counts"]) == [[0, 0, 0], [code, 0, 0]]
+    assert json.loads(lines["probe"]) == [1, True]
+    decoder, text, reports = json.JSONDecoder(), proc.stdout, []
+    while text.strip():
+        doc, end = decoder.raw_decode(text.lstrip())
+        reports.append(doc)
+        text = text.lstrip()[end:]
+    assert len(reports) == (1 if code == 2 else 2)
+    assert all(doc["summary"]["total"] == len(doc["checks"]) for doc in reports)

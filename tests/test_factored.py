@@ -234,9 +234,19 @@ def test_word_images_do_not_depend_on_poly_hash(monkeypatch):
     _letter_images.cache_clear()
 
 
-def expand_subst_poly(poly, bindings):
+def power_roots(bindings):
+    """{den: (a, k)}: den = a**k for another binding denominator a, found by
+    trying every k up to 6, else (den, 1)."""
+    dens = list(dict.fromkeys(b.den for b in bindings.values() if not b.den.is_one()))
+    return {d: next(((a, k) for a in dens if a != d and not a.is_const()
+                     for k in range(2, 7) if a**k == d), (d, 1)) for d in dens}
+
+
+def expand_subst_poly(poly, bindings, roots):
     """The engine's polynomial substitution before per-term cancellation:
-    every term expanded over prod den(s)^max_deg(s), nothing pending."""
+    every term expanded over prod den(s)^max_deg(s), nothing pending; a
+    binding denominator that is a power a**k of another counts as a^k."""
+    assert roots == power_roots(bindings)
     tables = []
     factors = {}
     bound = 0
@@ -251,7 +261,8 @@ def expand_subst_poly(poly, bindings):
             den_pows = [P_ONE]
             for _ in range(d):
                 den_pows.append(den_pows[-1] * b.den)
-            factors[b.den] = factors.get(b.den, 0) + d
+            a, k = roots[b.den]
+            factors[a] = factors.get(a, 0) + k * d
         num_pows = [P_ONE]
         for _ in range(d):
             num_pows.append(num_pows[-1] * b.num)
@@ -297,7 +308,8 @@ def shared_factor_bindings(rng):
 
 def test_per_term_cancellation_matches_expanding_first(seed, monkeypatch):
     # Differential test against the engine as it was: substitute by
-    # expanding every term over the full denominator, then peel.  The
+    # expanding every term over the full denominator, then peel (a binding
+    # denominator that is a power of another as that atom's power).  The
     # canonical (num, den) must be identical, also through a second
     # substitution that carries the factored numerator and denominator.
     import painleve_backlund.factored as factored
@@ -327,3 +339,11 @@ def test_per_term_cancellation_matches_expanding_first(seed, monkeypatch):
     monkeypatch.setattr(factored, "_peel", expand_peel)
     assert ours == run()
     assert sum(r is not None for r in ours) > 40
+
+
+def test_power_binding_denominator_is_peeled_as_its_atom_power():
+    # W_II s0 binds q over D = p - 2q^2 - t and p over D^2; s0(D) = D
+    from painleve_backlund.groups import apply_word
+
+    D = P("p - 2*q^2 - t")
+    assert apply_word("II", ("s0",), D) == D

@@ -2,16 +2,20 @@ import math
 
 import pytest
 
-from painleve_backlund.cli import DEGEN_NUMERIC_DEFAULTS
+from painleve_backlund import numeric
+from painleve_backlund.cli import DEGEN_NUMERIC_DEFAULTS, NUMERIC_DEFAULTS, main
 from painleve_backlund.degeneration import arrow, arrows, degenerate_hamiltonian
 from painleve_backlund.exprio import parse_expr as P
-from painleve_backlund.groups import generator
+from painleve_backlund.groups import generator, generators
 from painleve_backlund.numeric import (
     POLE_GUARD,
     NearPole,
     _compile_poly,
     _compile_ratfn,
     _compile_series_flow,
+    _flow_functions,
+    _generate,
+    _param_dict,
     backlund_numeric_check,
     degeneration_numeric_check,
     eval_ratfn,
@@ -19,7 +23,7 @@ from painleve_backlund.numeric import (
 )
 from painleve_backlund.ratfn import RatFn
 from painleve_backlund.symbols import A, P_, Q_, T_, alpha, p_, q_, t_
-from painleve_backlund.systems import hamiltonian, poisson_bracket
+from painleve_backlund.systems import hamiltonian, poisson_bracket, system
 
 from conftest import rand_poly, rng_for
 
@@ -318,3 +322,135 @@ def test_fused_series_flow_matches_per_table_sum(eps_value):
             for point in ((t, q0, p0), (t, q0 + 0.3 * k, p0 - 0.2 * k)):
                 assert outcome(dq, point) == outcome(ref_dq, point), (arr.name, point)
                 assert outcome(dp, point) == outcome(ref_dp, point), (arr.name, point)
+
+
+# ----------------------------------------------------------------------
+# fused fields and maps against the separate evaluators they replaced
+
+
+def three_call_field(dq, dp, weight):
+    """Reference field: each component called on its own, as _rk4 did."""
+
+    def field(t, q, p):
+        w = weight(t, q, p)
+        if abs(w) <= POLE_GUARD:
+            raise NearPole("time weight vanishes", (t, q, p))
+        return dq(t, q, p) / w, dp(t, q, p) / w
+
+    return field
+
+
+def outcome_at(fn, point):
+    # the witness too: a fused function must raise where the separate ones do
+    try:
+        return repr(fn(*point))
+    except NearPole as exc:
+        return f"NearPole: {exc} at {exc.at!r}"
+
+
+def flow_points(t0, q0, p0, t1):
+    points = []
+    for k in range(4):
+        t = t0 + k * (t1 - t0) / 3
+        points += [(t, q0, p0), (t, q0 + 0.4 * k, p0 - 0.3 * k), (t, -q0, 2 * p0)]
+    # the zeros of every time weight, and powers that overflow
+    points += [(0.0, q0, p0), (1.0, q0, p0), (-0.0, 0.0, -0.0),
+               (t0, 1e200, p0), (t0, q0, 1e200), (1e200, q0, p0)]
+    return points
+
+
+def assert_fused_field_matches(dq, dp, weight, points, label, kinds):
+    fused = _generate([dq, dp], weight)
+    ref = three_call_field(dq, dp, weight)
+    for point in points:
+        got = outcome_at(fused, point)
+        assert got == outcome_at(ref, point), (label, point)
+        kinds.add(got[:30] if got.startswith("NearPole") else "value")
+
+
+def test_fused_field_matches_three_calls_for_every_system():
+    kinds = set()
+    for label, (params, (t0, q0, p0), t1) in NUMERIC_DEFAULTS.items():
+        base = _param_dict(label, params)
+        states = [base] + [
+            {s: eval_ratfn(g.acts_on(s), base) for s in system(label).params}
+            for g in generators(label)
+        ]
+        for values in states:
+            dq, dp, weight = _flow_functions(label, values)
+            assert_fused_field_matches(
+                dq, dp, weight, flow_points(t0, q0, p0, t1), label, kinds)
+    assert {"value", "NearPole: time weight vanishes",
+            "NearPole: value overflow durin"} <= kinds
+
+
+@pytest.mark.parametrize("eps_value", [1e-2, 1e-3])
+def test_fused_degenerate_field_matches_three_calls(eps_value):
+    kinds = set()
+    for arr in arrows():
+        params, (t0, q0, p0), t1 = DEGEN_NUMERIC_DEFAULTS[(arr.source, arr.target)]
+        dq, dp = _compile_series_flow(arr, eps_value, dict(zip(A, params)))
+        weight = _compile_ratfn(system(arr.target).t_weight, {})
+        assert_fused_field_matches(
+            dq, dp, weight, flow_points(t0, q0, p0, t1), arr.name, kinds)
+    assert {"value", "NearPole: time weight vanishes",
+            "NearPole: value overflow durin"} <= kinds
+
+
+def test_constant_denominators_are_folded_bit_for_bit():
+    # 1.0 drops the division, 3 keeps it, and a constant that folds to 0
+    # raises on every call, after the powers and in component order
+    fold = {alpha[1]: 0.25}
+    texts = ("q^2*p - t", "(t + q^2)/3", "(t - p^2)/(4*alpha1 - 1)", "p/(alpha1 - 1)")
+    comps = [_compile_ratfn(P(text), fold) for text in texts]
+    points = [(0.5, -0.0, -0.0), (-1.5, 2.0, 3.0), (0.0, 1e200, 1.0), (0.0, 1.0, 1e200),
+              (float("inf"), 1.0, 1.0), (float("nan"), 0.0, 1.0)]
+    for text, comp in zip(texts, comps):
+        ref = term_loop(P(text), fold)
+        for point in points:
+            assert outcome_at(comp, point) == outcome_at(ref, point), (text, point)
+    assert outcome_at(comps[2], (1.0, 1.0, 1.0)).startswith("NearPole: denominator")
+    assert outcome_at(comps[2], (1.0, 1.0, 1e200)).startswith("NearPole: value overflow")
+    fused = _generate(comps)
+    for point in points:
+        assert outcome_at(fused, point) == outcome_at(
+            lambda *x: tuple(c(*x) for c in comps), point), point
+
+
+def test_fused_map_raises_where_the_three_maps_do():
+    kinds = set()
+    for label, (params, (t0, q0, p0), _) in NUMERIC_DEFAULTS.items():
+        values = _param_dict(label, params)
+        points = [(t0, q0, p0), (t0, t0, p0), (t0, q0, 0.0), (t0, 0.0, p0),
+                  (t0, 1.0, p0), (0.0, 0.0, 0.0), (t0, q0, 2 * q0**2 + t0),
+                  (t0, 1e200, p0), (t0, q0, 1e200), (1e200, q0, p0)]
+        for g in generators(label):
+            maps = [_compile_ratfn(g.acts_on(s), values) for s in (t_, q_, p_)]
+            fused = _generate(maps)
+            for point in points:
+                got = outcome_at(fused, point)
+                assert got == outcome_at(
+                    lambda *x: tuple(m(*x) for m in maps), point), (label, g.name, point)
+                kinds.add(got[:30] if got.startswith("NearPole") else "value")
+    assert kinds == {"value", "NearPole: denominator magnitud",
+                     "NearPole: value overflow durin"}
+
+
+@pytest.mark.parametrize("argv, compiled", [
+    (["numeric", "backlund", "--system", "II", "--gen", "s1"], 3),
+    (["numeric", "degeneration", "--arrow", "VI", "V"], 2),
+])
+def test_numeric_commands_compile_one_function_per_flow_and_map(
+        capsys, monkeypatch, argv, compiled):
+    # two fields and one map for backlund, two fields for degeneration
+    sources = []
+
+    def spy(source, filename, *args, **kwargs):
+        if filename.startswith("<numeric"):
+            sources.append(source)
+        return compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "compile", spy, raising=False)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(sources) == compiled

@@ -10,6 +10,7 @@ import pytest
 
 from painleve_backlund.degeneration import (
     arrow,
+    arrows,
     degenerate_hamiltonian_exact,
     lift_generator,
     limit_action,
@@ -216,13 +217,24 @@ def test_exact_lift_limits_match_sympy_limit(key):
 
 
 def test_printed_limits_and_table_entry_are_in_lowest_terms():
-    # The V -> IV and III -> II limits of S0 on Q are substituted as one
-    # quotient, and W_II's s0(p) parses over D^2 (D divides D^2), so none
-    # carries the factor D = P - 2*Q^2 - T (or its V -> IV analogue).
+    # Each of the 42 limit/* check ids prints the limit and the table entry,
+    # and none of these forms may carry a common factor.  The V -> IV and III -> II
+    # limits of S0 on Q are substituted as one quotient, W_II's s0(p) parses
+    # over D^2 (D divides D^2), and limit_action divides out the target
+    # generator's binding denominators (VI -> V and V -> IV S0(P), IV -> II
+    # S0(Q) kept (P + T)^2, (2P - Q - 2T)^2 and (P - 2Q^2 - T)^2).
     from painleve_backlund.groups import generator
 
-    forms = [limit_action(arrow(*key), "S0", Q_) for key in (("V", "IV"), ("III", "II"))]
-    forms.append(generator("II", "s0").acts_on(p_))
-    for f in forms:
-        common = sympy.gcd(to_sympy(f.num), to_sympy(f.den))
-        assert not common.free_symbols, (f, common)
+    forms = {"II/s0(p)": generator("II", "s0").acts_on(p_)}
+    for arr in arrows():
+        for name in arr.subgroup_words:
+            for X in (T_, Q_, P_):
+                key = f"{arr.name}/{name}/{X.name}"
+                forms[f"{key} limit"] = limit_action(arr, name, X)
+                forms[f"{key} table"] = target_table_action(arr, name, X)
+    assert len(forms) == 1 + 2 * 42
+    shared = {
+        key: common for key, f in forms.items()
+        if (common := sympy.gcd(to_sympy(f.num), to_sympy(f.den))).free_symbols
+    }
+    assert not shared, shared
