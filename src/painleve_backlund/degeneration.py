@@ -604,11 +604,9 @@ def _target_binding_dens(arr: DegenerationArrow, name: str) -> dict:
 # expectations from the target tables
 
 def _relabel_to_target(f: RatFn, n_params: int) -> RatFn:
-    bindings = {alpha[i]: RatFn.variable(A[i]) for i in range(n_params)}
-    bindings[t_] = RatFn.variable(T_)
-    bindings[q_] = RatFn.variable(Q_)
-    bindings[p_] = RatFn.variable(P_)
-    return f.substitute(bindings)
+    """f with alpha_i renamed A_i and t, q, p renamed T, Q, P."""
+    moves = {alpha[i]: A[i] for i in range(n_params)} | {t_: T_, q_: Q_, p_: P_}
+    return RatFn(f.num.rename(moves), f.den.rename(moves))
 
 
 def target_table_action(arr: DegenerationArrow, name: str, X: Symbol) -> RatFn:

@@ -21,12 +21,19 @@ the rule for cancelling them depends only on the bindings:
 Each polynomial cancels before it expands: its terms divide the binding
 denominators into their own factors and are summed over the lcm of what they
 keep; the peel then takes the powers the lcm spared, so the result is the
-one that peeling the fully expanded product would give.
+one that peeling the fully expanded product would give.  While no power is
+pending, the peel skips a binding denominator that uses a symbol the
+polynomial does not: it cannot divide it.
 
-substitute_reduced drops the bindings its input does not use first; a word
-letter's bindings are kept whole, because dividing after every rational
-letter keeps word states small even where the state misses that binding.
-Word actions never need ring addition at this level.
+An ImageTable holds what depends only on the bindings: the binding data
+(roots and the atoms to peel), each atom's image, and the word states of
+groups.  A word letter has one for the process, so each (state, letter)
+step runs once; the powers of binding numerators and denominators, and the
+trial divisions between them, are kept by value.  substitute_reduced drops
+the bindings its input does not use first; a letter's bindings are kept
+whole, because dividing after every rational letter keeps word states small
+even where the state misses that binding.  Word actions never need ring
+addition at this level.
 """
 
 from __future__ import annotations
@@ -60,22 +67,17 @@ class FactoredFrac:
         return RatFn(_expand(self.num_facs, self.num), _expand(self.den_facs))
 
     def substitute(
-        self, bindings: dict[Symbol, RatFn], images: dict | None = None
+        self, bindings: dict[Symbol, RatFn], images: "ImageTable | None" = None
     ) -> "FactoredFrac":
         """The image under the simultaneous substitution `bindings`.
 
-        `images` memoizes the image of each atom (body, split, extra
-        denominators), which depends only on the atom and the bindings.
-        Callers may share one table across calls only when every call passes
-        the same bindings; its entries are read, never mutated.
+        `images` is the ImageTable of `bindings`: callers may share one
+        across calls only when every call passes the same bindings; its
+        entries are read, never mutated.
         """
-        # in binding order, so the peel order (and the printed form) does
-        # not depend on Poly.__hash__
-        roots = _binding_roots(tuple(dict.fromkeys(
-            b.den for b in bindings.values() if not b.den.is_one())))
-        binding_dens = list(dict.fromkeys(a for a, _ in roots.values()))
         if images is None:
-            images = {}
+            images = ImageTable(bindings)
+        roots, binding_dens = images.roots, images.dens
 
         def image(f: Poly) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
             got = images.get(f)
@@ -151,6 +153,24 @@ class FactoredFrac:
         )
 
 
+class ImageTable(dict):
+    """{atom: (body, split, extra denominators)} under one set of bindings.
+
+    roots and dens, the binding data, are in binding order, so the peel
+    order (and the printed form) does not depend on Poly.__hash__; `states`
+    holds whole images under keys the caller picks (groups: word, fraction).
+    """
+
+    __slots__ = ("roots", "dens", "states")
+
+    def __init__(self, bindings: dict[Symbol, RatFn]):
+        super().__init__()
+        self.states: dict = {}
+        self.roots = _binding_roots(tuple(dict.fromkeys(
+            b.den for b in bindings.values() if not b.den.is_one())))
+        self.dens = list(dict.fromkeys(a for a, _ in self.roots.values()))
+
+
 def _bump(facs: dict[Poly, int], f: Poly, e: int) -> None:
     if f.is_one() or e == 0:
         return
@@ -172,13 +192,16 @@ def _expand(facs: dict[Poly, int], into: Poly | None = None) -> Poly:
 def _peel(poly: Poly, dens: list[Poly], pending: dict) -> tuple[Poly, dict[Poly, int]]:
     """Split off each binding denominator in turn, as often as it divides
     poly * prod(pending), using up pending: its powers go first, and the
-    product is expanded only when a denominator may divide it but not poly."""
+    product is expanded only when a denominator may divide it but not poly.
+    With nothing pending, a denominator using a symbol poly lacks is skipped."""
     counts: dict[Poly, int] = {}
     for b in dens:
         while True:
             if pending.get(b):
                 pending[b] -= 1
             else:
+                if not any(pending.values()) and not poly.uses_all_symbols_of(b):
+                    break
                 quo = poly.try_div(b)
                 if quo is None and any(pending.values()) and b.ends_may_divide(
                         [(poly, 1), *pending.items()]):
@@ -209,15 +232,19 @@ def _binding_roots(dens: tuple[Poly, ...]) -> dict[Poly, tuple[Poly, int]]:
     return roots
 
 
+# kept by value: each power and trial division is computed once per process
+_power = cache(Poly.__pow__)
+_quotient = cache(Poly.try_div)
+
+
 def _subst_poly(
     poly: Poly, bindings: dict[Symbol, RatFn], roots: dict[Poly, tuple[Poly, int]]
 ) -> tuple[Poly, dict[Poly, int], dict[Poly, int]]:
     """(num, pending, den): the image is num * prod(pending) / prod(den),
     den = prod over s of a^(k*max_deg(s)), where den(s) = a^k in `roots`.
     Terms with equal exponents e(s) form a group; each atom a is
-    trial-divided into the group's num(s)^e(s) first (attempts cached), the
-    groups are summed over the lcm of the powers they keep, and den over
-    that lcm is pending."""
+    trial-divided into the group's num(s)^e(s) first, the groups are summed
+    over the lcm of the powers they keep, and den over that lcm is pending."""
     tables = []
     top: dict[Poly, int] = {}  # den: atom -> power, binding order
     bound = 0  # the key fields of the symbols substituted
@@ -230,30 +257,24 @@ def _subst_poly(
         root = roots.get(b.den)  # None for a polynomial binding
         if root:
             top[root[0]] = top.get(root[0], 0) + root[1] * d
-        num_pows = [P_ONE, b.num]
-        while len(num_pows) <= d:
-            num_pows.append(num_pows[-1] * b.num)
-        tables.append((sh, num_pows, root))
+        tables.append((sh, b.num, root))
     if not tables:
         return poly, {}, {}
-    tried: dict[tuple[Poly, Poly], Poly | None] = {}
     groups = []
     kept = dict.fromkeys(top, 0)  # the lcm of the kept powers
     for key, coeff in poly.numerator_groups(bound).items():
         factors = []
         left = dict.fromkeys(top, 0)
-        for sh, num_pows, root in tables:
+        for sh, num, root in tables:
             e = (key >> sh) & MASK
             if e:
-                factors.append(num_pows[e])
+                factors.append(_power(num, e))
                 if root:
                     left[root[0]] += root[1] * e
         for den in top:
             for i, f in enumerate(factors):
                 while left[den]:
-                    if (f, den) not in tried:
-                        tried[f, den] = f.try_div(den)
-                    quo = tried[f, den]
+                    quo = _quotient(f, den)
                     if quo is None:
                         break
                     f = factors[i] = quo
@@ -262,7 +283,7 @@ def _subst_poly(
         groups.append((coeff, factors, left))
     result = Poly.zero()
     for coeff, factors, left in groups:
-        factors += [den ** (kept[den] - e) for den, e in left.items() if kept[den] > e]
+        factors += [_power(den, kept[den] - e) for den, e in left.items() if kept[den] > e]
         for f in factors:
             coeff = coeff * f
         result = result + coeff

@@ -13,8 +13,8 @@ rightmost letter acts first and each application is a simultaneous
 substitution of that letter's table into the accumulated expression.
 A letter's bindings never change, so the image of each atom under it is
 computed once per process: every word action shares the letter's image
-table (_letter_images), and words that pass through the same intermediate
-factors, as the relations of one group do, substitute each factor once.
+table (_letter_images), which also keeps the word states, so words that end
+in the same letters, as the relations of one group do, share those steps.
 """
 
 from __future__ import annotations
@@ -168,22 +168,35 @@ def apply_word(label: str, word: Word, f: RatFn) -> RatFn:
     Composition runs on partially factored fractions so that denominator
     factors reappearing inside expanded numerators cancel along the way.
     """
-    from .factored import FactoredFrac
-
     group = _require_group(label)
     for name in word:
         if name not in group:
             raise KeyError(f"W_{label} has no generator {name!r}")
-    state = FactoredFrac.from_ratfn(f)
-    for name in reversed(word):
-        state = state.substitute(group[name].action, _letter_images(label, name))
-    return state.to_ratfn()
+    return _word_state(label, tuple(word), f).to_ratfn()
+
+
+def _word_state(label: str, word: Word, f: RatFn):
+    """The FactoredFrac of the word acting on f: the first letter's image of
+    the state of word[1:], kept in that letter's table; never mutated."""
+    if not word:
+        from .factored import FactoredFrac
+
+        return FactoredFrac.from_ratfn(f)
+    images = _letter_images(label, word[0])
+    key = (word[1:], f)
+    state = images.states.get(key)
+    if state is None:
+        state = images.states[key] = _word_state(label, word[1:], f).substitute(
+            _require_group(label)[word[0]].action, images)
+    return state
 
 
 @cache
-def _letter_images(label: str, name: str) -> dict:
-    """The atom image table of one letter, shared by all its word actions."""
-    return {}
+def _letter_images(label: str, name: str) -> "ImageTable":
+    """One letter's ImageTable (atom images, binding data, word states)."""
+    from .factored import ImageTable
+
+    return ImageTable(_require_group(label)[name].action)
 
 
 def verify_relation(label: str, word: Word) -> bool:

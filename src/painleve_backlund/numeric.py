@@ -307,7 +307,8 @@ def backlund_numeric_check(
     t1m = mapped[-1][0]
     remapped = integrate(label, new_params, mapped[0], t1m, abs(t1m - t0m) / (len(mapped) - 1))
     if not remapped.complete or len(remapped.samples) != len(mapped):
-        raise NearPole("transformed trajectory hit a pole", mapped[0])
+        raise NearPole(f"transformed trajectory hit a pole after {len(remapped.samples) - 1}"
+                       f" of {len(mapped) - 1} steps", remapped.samples[-1])
     return max(
         max(abs(a[1] - b[1]), abs(a[2] - b[2]))
         for a, b in zip(mapped, remapped.samples)
@@ -370,7 +371,8 @@ def degeneration_numeric_check(
         raise NearPole("degenerate flow hit a pole", steps_samples[-1])
     reference = integrate(arr.target, params, initial, t1, h)
     if not reference.complete:
-        raise NearPole("reference flow hit a pole", initial)
+        raise NearPole(f"reference flow hit a pole after {len(reference.samples) - 1}"
+                       f" of {len(steps_samples) - 1} steps", reference.samples[-1])
     return max(
         max(abs(a[1] - b[1]), abs(a[2] - b[2]))
         for a, b in zip(steps_samples, reference.samples)

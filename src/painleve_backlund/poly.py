@@ -156,6 +156,13 @@ class Poly:
     def uses(self, s: Symbol) -> bool:
         return bool((reduce(or_, self.terms, 0) >> SHIFTS[s.index]) & MASK)
 
+    def uses_all_symbols_of(self, other: "Poly") -> bool:
+        """False if other uses a symbol self does not use."""
+        # (field of the OR of the keys | guard) - 1 keeps the guard iff field > 0
+        mine, theirs = (((reduce(or_, f.terms, 0) | GUARDS) - (GUARDS >> (BITS - 1))) & GUARDS
+                        for f in (self, other))
+        return not theirs & ~mine
+
     def content_key(self) -> int:
         """Packed key of the largest monomial dividing every term."""
         if not self.terms:
@@ -206,6 +213,24 @@ class Poly:
             if diff & GUARDS != GUARDS:
                 raise ValueError("monomial does not divide every term")
             out[diff ^ GUARDS] = c
+        return Poly(out, self.den)
+
+    def rename(self, moves: dict[Symbol, Symbol]) -> "Poly":
+        """Move the exponent field of each symbol to its target's field.
+
+        Raises ValueError if self already uses a target symbol.
+        """
+        used = reduce(or_, self.terms, 0)
+        if any((used >> SHIFTS[b.index]) & MASK for b in moves.values()):
+            raise ValueError("cannot rename onto a symbol the polynomial uses")
+        fields = [(SHIFTS[a.index], SHIFTS[b.index]) for a, b in moves.items()
+                  if (used >> SHIFTS[a.index]) & MASK]
+        out = {}
+        for k, c in self.terms.items():
+            for src, dst in fields:
+                e = (k >> src) & MASK
+                k += (e << dst) - (e << src)
+            out[k] = c
         return Poly(out, self.den)
 
     def div_int(self, n: int) -> "Poly":

@@ -7,9 +7,8 @@ A RatFn is a pair num/den of polynomials with den != 0.  Canonical form:
     are multiplied by the inverse of that constant, a constant Poly),
   * zero is represented as 0/1.
 
-No polynomial GCD is computed: equality is decided semantically by
-cross-multiplication, with a randomized evaluation pre-check that can only
-answer "different".  Substitution runs the engine in factored.py.
+No polynomial GCD is computed: equality is decided semantically by the
+cross product alone.  Substitution runs the engine in factored.py.
 """
 
 from __future__ import annotations
@@ -162,34 +161,12 @@ class RatFn:
         return f"RatFn({print_expr(self)})"
 
 
-# Fixed seed: the pre-check must be deterministic run to run.
-_PRECHECK_SEED = 0x5EED
-_PRECHECK_POINTS = 3
-
-
 def ratfn_equal(f: RatFn, g: RatFn) -> bool:
-    """Decide f == g in the rational function field.
-
-    A randomized evaluation pre-check runs first; a nonzero value at any
-    sample point settles the answer as "different".  Equality is always
-    confirmed by expanding the cross product.
-    """
+    """Decide f == g in the rational function field: structurally equal
+    canonical forms are equal, and otherwise the cross product
+    f.num*g.den - g.num*f.den is expanded and must be zero."""
     if f.num == g.num and f.den == g.den:
         return True
-    # in registry order: a set of Symbols iterates in hash order, which
-    # follows PYTHONHASHSEED
-    syms = sorted(f.symbols_used() | g.symbols_used(), key=lambda s: s.index)
-    if syms:
-        import random
-
-        rng = random.Random(_PRECHECK_SEED)
-        for _ in range(_PRECHECK_POINTS):
-            # each value n/d as the pair (n, d), so no Fraction is built
-            point = {s: (rng.randint(-9, 9), rng.randint(1, 4)) for s in syms}
-            lhs = f.num.eval_exact(point) * g.den.eval_exact(point)
-            rhs = g.num.eval_exact(point) * f.den.eval_exact(point)
-            if lhs != rhs:
-                return False
     return (f.num * g.den - g.num * f.den).is_zero()
 
 

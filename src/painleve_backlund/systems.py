@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import cache
 
 from .exprio import parse_expr
-from .ratfn import RatFn, ratfn_equal
+from .ratfn import RatFn
 from .symbols import Symbol, alpha, p_, q_, t_
 
 LABELS = ("VI", "V", "IV", "III", "II", "I")
@@ -154,5 +154,13 @@ def reduce_constraint(label: str, f: RatFn) -> RatFn:
 
 
 def equal_mod_constraint(label: str, f: RatFn, g: RatFn) -> bool:
-    """Exact equality of f and g restricted to the constraint hyperplane."""
-    return ratfn_equal(reduce_constraint(label, f), reduce_constraint(label, g))
+    """Exact equality of f and g restricted to the constraint hyperplane.
+
+    Raises DenominatorVanishes if a denominator vanishes there; otherwise,
+    restriction being a ring map, f = g iff the cross product restricts to 0.
+    """
+    for den in (f.den, g.den):
+        reduce_constraint(label, RatFn(den).inverse())  # raises if den vanishes
+    if f == g:
+        return True
+    return reduce_constraint(label, RatFn(f.num * g.den - g.num * f.den)).is_zero()

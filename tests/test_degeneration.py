@@ -389,6 +389,27 @@ def test_target_table_action_relabeling():
     assert ratfn_equal(target_table_action(a, "S0", A[0]), P("-A0"))
 
 
+def test_relabel_is_the_renaming_substitution():
+    # _relabel_to_target moves exponent fields instead of substituting; it
+    # must give the substitution's canonical num and den on every entry
+    from painleve_backlund.degeneration import _relabel_to_target
+    from painleve_backlund.groups import generators
+    from painleve_backlund.symbols import alpha, p_, q_, t_
+    from painleve_backlund.systems import system
+
+    for K in sorted({K for _, K in ALL}):
+        sysK = system(K)
+        n = len(sysK.params)
+        renames = {**{alpha[i]: RatFn.variable(A[i]) for i in range(n)},
+                   t_: RatFn.variable(T_), q_: RatFn.variable(Q_), p_: RatFn.variable(P_)}
+        entries = [f for g in generators(K) for f in g.action.values()]
+        for f in entries + [sysK.constraint_expr(), sysK.hamiltonian]:
+            got, want = _relabel_to_target(f, n), f.substitute(renames)
+            assert (got.num, got.den) == (want.num, want.den), (K, f)
+    with pytest.raises(ValueError, match="uses"):
+        P("alpha0*q + A0").num.rename({alpha[0]: A[0]})
+
+
 def test_negative_control_raw_s3_diverges():
     a = arrow("VI", "V")
     raw = lift_word(a, ("s3",))

@@ -347,3 +347,71 @@ def test_power_binding_denominator_is_peeled_as_its_atom_power():
 
     D = P("p - 2*q^2 - t")
     assert apply_word("II", ("s0",), D) == D
+
+
+def unskipped_peel(poly, dens, pending):
+    """_peel as it was before it skipped denominators that cannot divide."""
+    from painleve_backlund.factored import _expand
+
+    counts = {}
+    for b in dens:
+        while True:
+            if pending.get(b):
+                pending[b] -= 1
+            else:
+                quo = poly.try_div(b)
+                if quo is None and any(pending.values()) and b.ends_may_divide(
+                        [(poly, 1), *pending.items()]):
+                    poly, pending = _expand(pending, poly), {}
+                    quo = poly.try_div(b)
+                if quo is None:
+                    break
+                poly = quo
+            counts[b] = counts.get(b, 0) + 1
+    return poly, counts
+
+
+def test_peel_skip_changes_no_quotient(seed, monkeypatch):
+    # Differential test of the skip rule: the bodies the 89 group checks
+    # peel (from cold word caches), and seeded bodies with sqrt2
+    # coefficients, pending powers and denominators in symbols they lack.
+    import painleve_backlund.factored as factored
+    from painleve_backlund.checks import group_check_ids, run_check
+    from painleve_backlund.groups import GROUP_LABELS, _letter_images, _word_on_symbol
+    from painleve_backlund.symbols import x_, y_
+
+    cases = []
+    peel = factored._peel
+
+    def record(poly, dens, pending):
+        cases.append((poly, list(dens), dict(pending)))
+        return peel(poly, dens, pending)
+
+    monkeypatch.setattr(factored, "_peel", record)
+    _word_on_symbol.cache_clear()
+    _letter_images.cache_clear()
+    ids = [i for label in GROUP_LABELS for i in group_check_ids(label)]
+    assert {run_check(i).outcome for i in ids} == {"pass"}
+    monkeypatch.undo()
+    from_groups = len(cases)
+
+    rng = rng_for(seed, "factored-peel-skip")
+    while len(cases) < from_groups + 300:
+        # atoms in q, x and y, and products of two, which a pending power
+        # may supply the missing symbol of
+        a, b, c = (rand_poly(rng, syms, max_terms=2, allow_zero=False, sqrt2_prob=0.5)
+                   + Poly.variable(extra) for syms, extra in [((t_,), q_), ((q_,), x_), ((t_,), y_)])
+        dens = rng.sample([a, b, c, a * b, b * c], 4)
+        poly = rand_poly(rng, (q_, p_, t_), max_terms=3, allow_zero=False, sqrt2_prob=0.5)
+        for d in rng.sample(dens, 2):
+            poly = poly * d ** rng.randint(0, 2)
+        pending = {d: rng.randint(0, 2) for d in rng.sample(dens, rng.randint(0, 3))}
+        if not poly.is_zero():
+            cases.append((poly, dens, pending))
+    skips = 0
+    for poly, dens, pending in cases:
+        got = factored._peel(poly, dens, dict(pending))
+        assert got == unskipped_peel(poly, dens, dict(pending)), (poly, dens, pending)
+        skips += not any(pending.values()) and any(
+            not poly.uses_all_symbols_of(d) for d in dens)
+    assert from_groups > 100 and skips > 100

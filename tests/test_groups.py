@@ -157,3 +157,94 @@ def test_letter_memo_returns_what_a_cold_memo_returns(seed):
             _letter_images.cache_clear()
             cold = apply_word(label, word, f)
             assert (got.num, got.den) == (cold.num, cold.den), (label, word, f)
+
+
+def relation_halves(word):
+    """The words verify_relation acts by: a long word's two halves, else the word."""
+    if len(word) >= 6:
+        k = len(word) // 2
+        return [word[:k], tuple(reversed(word[k:]))]
+    return [word]
+
+
+def test_shared_word_states_match_cold_word_actions():
+    # Every relation half of the five groups and of the side-(a) expansions
+    # of the five arrows: acting with states shared across all of them gives
+    # the canonical num and den of acting from a cold letter memo, whose
+    # word states are cleared with it, and cold caches of powers and quotients.
+    from painleve_backlund import factored
+    from painleve_backlund.degeneration import ARROW_KEYS, arrow
+    from painleve_backlund.groups import _word_on_symbol
+
+    words = {(label, half) for label in GROUP_LABELS
+             for _, word in fundamental_relations(label) for half in relation_halves(word)}
+    for J, K in ARROW_KEYS:
+        subgroup_words = arrow(J, K).subgroup_words
+        for _, s_word in fundamental_relations(K):
+            expanded = tuple(x for s in s_word for x in subgroup_words["S" + s[1:]])
+            words |= {(J, half) for half in relation_halves(expanded)}
+    _word_on_symbol.cache_clear()
+    _letter_images.cache_clear()
+    shared = {(label, word, s): _word_on_symbol(label, word, s)
+              for label, word in sorted(words) for s in field_symbols(label)}
+    for (label, word, s), got in shared.items():
+        for memo in (_letter_images, factored._power, factored._quotient):
+            memo.cache_clear()
+        cold = apply_word(label, word, RatFn.variable(s))
+        assert (got.num, got.den) == (cold.num, cold.den), (label, word, s)
+    assert len(words) > 60
+
+
+WORK_SCRIPT = """
+import json
+from painleve_backlund import poly
+
+counts = dict.fromkeys(["FactoredFrac.substitute", "Poly.try_div", "Poly.eval_exact",
+                        "Poly.__mul__"], 0)
+
+def count(cls, name):
+    orig = getattr(cls, name)
+    def spy(*args, **kwargs):
+        counts[cls.__name__ + "." + name] += 1
+        return orig(*args, **kwargs)
+    setattr(cls, name, spy)
+
+# before factored loads, since it keeps Poly.try_div and Poly.__pow__ by value
+for name in ("try_div", "eval_exact", "__mul__"):
+    count(poly.Poly, name)
+from painleve_backlund import factored
+from painleve_backlund.checks import group_check_ids, run_check
+from painleve_backlund.groups import GROUP_LABELS
+
+count(factored.FactoredFrac, "substitute")
+ids = [i for label in GROUP_LABELS for i in group_check_ids(label)]
+outcomes = sorted({run_check(i).outcome for i in ids})
+print(json.dumps([len(ids), outcomes, counts]))
+"""
+
+
+def test_group_checks_stay_within_their_work_budget():
+    # The 89 group ids from a fresh process (empty caches): each (state,
+    # letter) step runs once, a peel skips denominators that cannot divide,
+    # and ratfn_equal evaluates nothing.  The engine that acted word by word
+    # and pre-checked at sample points made 1,133 substitutions, 1,066
+    # trial divisions, 156 evaluations and 3,183 products.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import painleve_backlund
+
+    src = Path(painleve_backlund.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", WORK_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    n_ids, outcomes, counts = json.loads(proc.stdout.splitlines()[-1])
+    assert n_ids == 89 and outcomes == ["pass"]
+    assert counts["FactoredFrac.substitute"] <= 900, counts
+    assert counts["Poly.try_div"] <= 850, counts
+    assert counts["Poly.eval_exact"] == 0, counts
+    assert counts["Poly.__mul__"] <= 3_183, counts

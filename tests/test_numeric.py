@@ -171,6 +171,28 @@ def test_backlund_check_identity_like_generator():
     assert dev < 1e-12
 
 
+def test_pole_skip_witness_is_where_the_transformed_flow_stopped():
+    # IV s0 at the CLI defaults: the transformed flow blows up at t = 0.304,
+    # so the witness is that last sample, not the mapped start (t = 0.0)
+    params, initial, t1 = NUMERIC_DEFAULTS["IV"]
+    with pytest.raises(NearPole, match="transformed trajectory hit a pole"
+                       " after 304 of 1000 steps") as exc:
+        backlund_numeric_check("IV", generator("IV", "s0"), params, initial, t1, 1e-3)
+    t, q, p = exc.value.at
+    assert t == pytest.approx(0.304) and abs(q) > 1e100
+
+
+def test_pole_skip_witness_is_where_the_reference_flow_stopped(monkeypatch):
+    # a reference flow cut after 100 steps must name that sample and the count
+    params, initial, t1 = DEGEN_NUMERIC_DEFAULTS[("IV", "II")]
+    full = integrate("II", params, initial, t1, 1e-3)
+    cut = full._replace(samples=full.samples[:101], complete=False)
+    monkeypatch.setattr(numeric, "integrate", lambda *args: cut)
+    with pytest.raises(NearPole, match="reference flow hit a pole after 100 of 1000 steps") as exc:
+        degeneration_numeric_check(arrow("IV", "II"), 1e-2, params, initial, t1, 1e-3)
+    assert exc.value.at == full.samples[100]
+
+
 def test_rk4_order_scaling():
     g = generator("II", "s1")
     devs = [

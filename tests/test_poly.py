@@ -6,7 +6,7 @@ import pytest
 
 from painleve_backlund.exprio import parse_expr, print_poly
 from painleve_backlund.poly import ONE, SQRT2, MonomialOverflow, Poly, min_key
-from painleve_backlund.symbols import MASK, REGISTRY, SHIFTS, eps, q_, sym, t_
+from painleve_backlund.symbols import MASK, REGISTRY, SHIFTS, alpha, eps, p_, q_, sym, t_
 
 from conftest import rand_coeff, rand_poly, rng_for
 
@@ -259,3 +259,13 @@ def test_fail_fast_try_div_agrees_with_long_division(seed):
             assert ours == ref, (num, b)
             rejected += ours is None
     assert rejected > 100
+
+
+def test_uses_all_symbols_of_is_the_symbol_set_inclusion(seed):
+    rng = rng_for(seed, "poly-uses-all")
+    syms = (alpha[0], t_, q_, p_)
+    polys = [rand_poly(rng, syms, max_terms=2, max_degree=3, sqrt2_prob=0.3) for _ in range(40)]
+    polys.append(Poly.variable(q_) ** 32767)  # a full exponent field
+    for f in polys:
+        for g in polys:
+            assert f.uses_all_symbols_of(g) == (g.symbols_used() <= f.symbols_used())

@@ -173,63 +173,49 @@ def test_canonical_denominator_is_monic():
     assert f.den.leading_coeff().is_one()
 
 
-def test_precheck_first_point_is_pinned(monkeypatch):
-    # the seeded sample values, passed as (n, d) pairs in registry order;
-    # as Fractions they read alpha0 = -5/4, alpha1 = -3/4, t = 2, q = 1,
-    # p = 1, T = 3/4
-    from painleve_backlund.poly import Poly
-
-    points = []
-    eval_exact = Poly.eval_exact
-
-    def spy(self, values):
-        points.append({s.name: v for s, v in values.items()})
-        return eval_exact(self, values)
-
-    monkeypatch.setattr(Poly, "eval_exact", spy)
+def test_cross_product_rejects_pairs_that_differ(seed):
+    # ratfn_equal has no evaluation pre-check: the cross product alone must
+    # reject the pinned pair and pairs that differ only after cross-multiplying
     assert not ratfn_equal(P("alpha0*q + p/t"), P("alpha1*q + T"))
-    assert list(points[0].items()) == [
-        ("alpha0", (-5, 4)), ("alpha1", (-3, 4)), ("t", (6, 3)),
-        ("q", (2, 2)), ("p", (4, 4)), ("T", (3, 4)),
-    ]
+    rng = rng_for(seed, "ratfn-cross-product")
+    syms = (q_, p_, t_)
+    rejected = 0
+    while rejected < 100:
+        f = rand_ratfn(rng, syms)
+        u = rand_poly(rng, syms, max_terms=2, allow_zero=False, sqrt2_prob=0.5)
+        v = rand_poly(rng, syms, max_terms=2, allow_zero=False, sqrt2_prob=0.5)
+        if u.is_zero() or v.is_zero():
+            continue
+        # the same value over the denominator f.den*u, and f + v/u
+        assert ratfn_equal(f, RatFn(f.num * u, f.den * u))
+        assert not ratfn_equal(f, RatFn(f.num * u + f.den * v, f.den * u))
+        rejected += 1
 
 
-PRECHECK_SCRIPT = """
+HASH_SEED_SCRIPT = """
 import contextlib, io, json
 from painleve_backlund import cli
-from painleve_backlund.exprio import parse_expr
-from painleve_backlund.poly import Poly
-from painleve_backlund.ratfn import ratfn_equal
 
-points = []
-eval_exact = Poly.eval_exact
-
-def spy(self, values):
-    points.append([(s.name, str(v)) for s, v in values.items()])
-    return eval_exact(self, values)
-
-Poly.eval_exact = spy
-ratfn_equal(parse_expr("alpha0*q + p/t"), parse_expr("alpha1*q + T"))
-first = points[:]
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    cli.main(["degenerate", "IV", "II", "--format", "json"])
-print(json.dumps([first, points, out.getvalue()]))
+out = []
+for argv in (["verify-groups"], ["degenerate", "IV", "II"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv + ["--format", "json"])
+    out.append([rc, buf.getvalue()])
+print(json.dumps(out))
 """
 
 
-def test_precheck_points_do_not_follow_the_hash_seed():
+def test_reports_do_not_follow_the_hash_seed():
     # Symbols hash by name, so a set of them iterates in an order that
-    # changes with PYTHONHASHSEED; the sample points must not.
+    # changes with PYTHONHASHSEED; no report may follow it.
     src = Path(painleve_backlund.__file__).resolve().parents[1]
     runs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
-        proc = subprocess.run([sys.executable, "-c", PRECHECK_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
-    (first_1, points_1, report_1), (first_2, points_2, report_2) = runs
-    assert first_1 and first_1 == first_2
-    assert points_1 == points_2
-    assert report_1 == report_2
+    assert [rc for rc, _ in runs[0]] == [0, 0]
+    assert runs[0] == runs[1]

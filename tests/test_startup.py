@@ -88,8 +88,7 @@ def test_start_up_loads_only_what_the_command_runs():
         "import": [[], [0, True], [0, True]],
         # numeric backlund II s1 builds group II and system II, nothing else
         "numeric": [0, [], [1, True], [1, True]],
-        # verify-groups loads no degeneration code, and builds no Fraction:
-        # the pre-check of ratfn_equal evaluates at integer pairs
+        # verify-groups loads no degeneration code, and builds no Fraction
         "verify-groups": [0, []],
         "missing": [],
         # degenerate builds its one arrow, at its default truncation 12 ...
@@ -98,3 +97,19 @@ def test_start_up_loads_only_what_the_command_runs():
         "V-III@10": [0, [2, True]],
         "workers": [],
     }
+
+
+def test_verify_groups_loads_no_random():
+    # ratfn_equal decides by the cross product alone: no sample points
+    script = (
+        "import contextlib, io, sys\n"
+        "import painleve_backlund.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify-groups'])\n"
+        "print(rc, 'random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -8,6 +8,7 @@ from painleve_backlund.systems import (
     UnsupportedSystem,
     _constraint_binding,
     derivation_apply,
+    equal_mod_constraint,
     hamiltonian,
     poisson_bracket,
     reduce_constraint,
@@ -175,6 +176,46 @@ def test_cached_flow_and_constraint_match_the_uncached_formulas(seed):
                 uncached_derivation_apply, label, f)
             assert outcome(reduce_constraint, label, f) == outcome(
                 uncached_reduce_constraint, label, f)
+
+
+def reduce_both_sides(label, f, g):
+    """equal_mod_constraint as two reductions and ratfn_equal."""
+    return ratfn_equal(reduce_constraint(label, f), reduce_constraint(label, g))
+
+
+def verdict(fn, *args):
+    try:
+        return fn(*args)
+    except DenominatorVanishes:
+        return "vanishes"
+
+
+def test_equal_mod_constraint_matches_reducing_both_sides(seed):
+    # every commutes pair of verify-groups, each made unequal twice, and
+    # seeded pairs, some of whose denominators vanish on the hyperplane
+    from painleve_backlund.groups import GROUP_LABELS, field_symbols, generators
+
+    rng = rng_for(seed, "systems-equal-mod-constraint")
+    cases = []
+    for label in GROUP_LABELS:
+        params = system(label).params
+        vanishing = RatFn.const(1) / (system(label).constraint_expr() - RatFn.const(1))
+        cases += [(label, vanishing, vanishing), (label, RatFn.const(1), vanishing)]
+        for gen in generators(label):
+            for s in field_symbols(label):
+                lhs = derivation_apply(label, gen.acts_on(s))
+                rhs = gen(derivation_apply(label, RatFn.variable(s)))
+                cases += [(label, lhs, rhs), (label, lhs, rhs + RatFn.variable(params[-1])),
+                          (label, lhs * RatFn.variable(q_), rhs)]
+        for _ in range(20):
+            f = rand_ratfn(rng, params[:2] + (t_, q_), max_terms=2)
+            g = f.substitute({params[1]: RatFn.const(1) - RatFn.variable(params[0])})
+            cases += [(label, f, g), (label, g, f + RatFn.variable(p_))]
+    verdicts = [verdict(equal_mod_constraint, *case) for case in cases]
+    assert verdicts == [verdict(reduce_both_sides, *case) for case in cases]
+    assert {True, False, "vanishes"} <= set(verdicts)
+    # a vanishing denominator raises even when the two sides are identical
+    assert verdicts[0] == "vanishes"
 
 
 def test_constraint_binding_is_shared_and_left_unmutated(capsys):
