@@ -26,19 +26,25 @@ from functools import cache, partial
 
 from .exprio import parse_expr
 from .groups import Word, _word_on_symbol, fundamental_relations, generator, verify_relation
+from .poly import Poly
 from .ratfn import RatFn, ratfn_equal
 from .series import (
     EpsSeries,
     binomial_series,
     ratfn_at_series,
     ratfn_limit_eps0,
+    rational_pair,
     series_equal,
 )
-from .symbols import A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, sym, t_, tau
+from .symbols import A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, sym, t_, tau, var_key
 from .systems import poisson_bracket, system
 
 class UnsupportedArrow(ValueError):
     """A degeneration square outside the five supported arrows."""
+
+
+class BranchDataError(ValueError):
+    """Declared eps-branch data that side (b) cannot compose exactly."""
 
 
 class DegenerationArrow:
@@ -115,8 +121,11 @@ class _SlicedAction:
 
 
 class LiftedGenerator:
+    """A W_J word lifted through an arrow: exact A_i actions, its eps branch
+    as a series, and its T, Q, P actions (exact when birational, else sliced)."""
+
     __slots__ = ("arrow", "name", "word", "param_actions", "eps_series",
-                 "var_parts", "exact_var", "eps_powers", "param_images")
+                 "var_parts", "exact_var", "param_images")
 
     def __init__(self, arrow: DegenerationArrow, name: str, word: Word,
                  param_actions: dict[Symbol, RatFn], eps_series: EpsSeries):
@@ -127,27 +136,7 @@ class LiftedGenerator:
         self.eps_series = eps_series
         self.var_parts: dict[Symbol, _SlicedAction] = {}
         self.exact_var: dict[Symbol, RatFn] | None = None
-        self.eps_powers: dict[int, EpsSeries] = {}
         self.param_images: dict[RatFn, RatFn] = {}
-
-    def eps_series_power(self, n: int) -> EpsSeries:
-        """S^n for the branch S = eps_series, to order min(arrow.trunc, (S**n).trunc).
-
-        Its one consumer, _act_on_eps_series, composes at the arrow's order,
-        so orders above it are never built.  Kept on the lift.  For n >= 2,
-        S^n is S^(n-1) times S truncated; every kept coefficient is the sum
-        the untruncated product forms.  n <= 1 starts from the untruncated S,
-        since inverting a truncated S would lose orders.
-        """
-        pw = self.eps_powers.get(n)
-        if pw is None:
-            if n < 2:
-                pw = self.eps_series**n
-            else:
-                pw = self.eps_series_power(n - 1) * self.eps_series_power(1)
-            pw = pw.truncate(min(self.arrow.trunc, pw.trunc))
-            self.eps_powers[n] = pw
-        return pw
 
     def param_image(self, f: RatFn) -> RatFn:
         """f with the lifted parameter actions substituted, kept on the lift
@@ -386,16 +375,6 @@ _ARROW_DATA = {
 ARROW_KEYS = tuple(_ARROW_DATA)
 
 
-def _eps_branch(inner: str, power, trunc: int) -> EpsSeries:
-    """eps * (1 + inner)^power as a declared branch series.
-
-    Built with two orders of headroom so shifted products downstream still
-    reach the arrow's truncation order.
-    """
-    x = EpsSeries.from_ratfn(parse_expr(inner), trunc + 2)
-    return binomial_series(x, power, trunc + 2).shift(1)
-
-
 @cache
 def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
     """One arrow at one truncation order, parsed from its data on first use."""
@@ -404,10 +383,21 @@ def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
     def smap(names_exprs: dict[str, str]) -> dict[Symbol, RatFn]:
         return {sym(k): parse_expr(v) for k, v in names_exprs.items()}
 
-    def branch(image) -> EpsSeries:
-        if isinstance(image, str):  # two orders of headroom, as in _eps_branch
-            return EpsSeries.from_ratfn(parse_expr(image), trunc + 2)
-        return _eps_branch(*image, trunc)
+    def branch(name: str, image) -> EpsSeries:
+        """The declared branch, with two orders of headroom so that shifted
+        products downstream still reach the truncation order."""
+        where, k = f"{key[0]}->{key[1]} {name}", data["eps_power"]
+        if isinstance(image, str):
+            series = EpsSeries.from_ratfn(parse_expr(image), trunc + 2)
+        else:  # eps * (1 + inner)^power
+            n, d = rational_pair(image[1])
+            if k * n % d:
+                raise BranchDataError(f"{where}: {k} * power {image[1]} is not an integer")
+            x = EpsSeries.from_ratfn(parse_expr(image[0]), trunc + 2)
+            series = binomial_series(x, image[1], trunc + 2).shift(1)
+        if series.valuation() != 1:
+            raise BranchDataError(f"{where}: the branch is not c*eps*(1 + O(eps)), c != 0")
+        return series
 
     tau_image = data.get("tau_pushforward")
     return DegenerationArrow(
@@ -419,7 +409,7 @@ def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
         var_inverse=smap(data["var_inverse"]),
         subgroup_words=data["subgroup_words"],
         alt_words=data["alt_words"],
-        eps_action={name: branch(image) for name, image in data["eps_action"].items()},
+        eps_action={name: branch(name, image) for name, image in data["eps_action"].items()},
         eps_power=data["eps_power"],
         eps_in_source=parse_expr(data["eps_in_source"]),
         tau_pushforward=None if tau_image is None else parse_expr(tau_image),
@@ -819,8 +809,10 @@ def verify_subgroup_relation(arr: DegenerationArrow, rel: str, side: str) -> boo
     """One W_K fundamental relation, on one side.
 
     (a) the relation word, expanded into W_J letters, is the identity on the
-        source field; (b) the relation holds on the lifted parameter actions
-        (A_i exactly, eps as a series under the declared branches).
+        source field; (b) on the lifted actions every A_i returns to A_i
+        and, under the declared branches, eps to eps.  The eps part is exact
+        (see _branch_exact): the composite branch eps * c * (1 + O(eps)) has
+        k-th power U(A, u), u = eps^k, so it is eps iff U = u and c = 1.
     """
     s_word = dict(fundamental_relations(arr.target))[rel]
     if side == "a":
@@ -833,15 +825,16 @@ def verify_subgroup_relation(arr: DegenerationArrow, rel: str, side: str) -> boo
     # (b) compose the lifted parameter actions.
     n_params = len(system(arr.target).params)
     state_params = {A[i]: RatFn.variable(A[i]) for i in range(n_params)}
-    state_eps = EpsSeries.eps_power(1, arr.trunc)
+    u = RatFn.variable(eps)  # in the u-state, eps stands for u = eps^k
+    state_u, lead = u, RatFn.const(1)
     for s_name in reversed(s_word):
         lifted = lift_generator(arr, "S" + s_name[1:])
         state_params = {Ai: lifted.param_image(f) for Ai, f in state_params.items()}
-        state_eps = _act_on_eps_series(lifted, state_eps)
+        state_u, lead = _act_on_eps_power(lifted, state_u, lead)
     return all(
         ratfn_equal(state_params[A[i]], RatFn.variable(A[i]))
         for i in range(n_params)
-    ) and series_equal(state_eps, EpsSeries.eps_power(1, arr.trunc))
+    ) and ratfn_equal(state_u, u) and ratfn_equal(lead, RatFn.const(1))
 
 
 def verify_subgroup_relations(arr: DegenerationArrow) -> list[tuple[str, bool, bool]]:
@@ -852,9 +845,39 @@ def verify_subgroup_relations(arr: DegenerationArrow) -> list[tuple[str, bool, b
     ]
 
 
-def _act_on_eps_series(lifted: LiftedGenerator, s: EpsSeries) -> EpsSeries:
-    """Apply a lifted generator to a series in eps with A-coefficients."""
-    out = EpsSeries.zero(s.trunc)
-    for n, c in s.coeffs.items():
-        out = out + lifted.eps_series_power(n).scale(lifted.param_image(c))
-    return out
+@cache
+def _branch_exact(arr: DegenerationArrow, name: str) -> tuple[RatFn, RatFn]:
+    """S_name's declared branch S as side (b) composes it: (U, c) with
+    S^k = U(A, eps^k) exactly (k = eps_power; eps stands for u = eps^k in U)
+    and c the order-1 coefficient of S.  A rational image r gives r^k, a pair
+    (inner, power) eps^k * (1 + inner)^(k*power), k*power an integer."""
+    k = arr.eps_power
+    where = f"{arr.name} {name}"
+    if any(f.uses(eps) for f in lift_generator(arr, name).param_actions.values()):
+        raise BranchDataError(f"{where}: the lifted parameter actions depend on eps")
+    image = arrow_data(arr.source, arr.target)["eps_action"][name]
+    if isinstance(image, str):
+        power = parse_expr(image) ** k
+    else:
+        n, d = rational_pair(image[1])
+        power = RatFn.variable(eps) ** k * (RatFn.const(1) + parse_expr(image[0])) ** (k * n // d)
+    num, den = _in_u(power.num, k), _in_u(power.den, k)
+    if num is None or den is None:
+        raise BranchDataError(f"{where}: S^{k} is not rational in eps^{k}")
+    return RatFn(num, den), arr.eps_action[name].coeff(1)
+
+
+def _in_u(f: Poly, k: int) -> Poly | None:
+    """g with f(eps) = g(eps^k); None when an eps-degree of f is not a multiple of k."""
+    slices = f.slices(eps).items()
+    if any(e % k for e, _ in slices):
+        return None
+    return sum((part.mul_key(var_key(eps) * (e // k)) for e, part in slices), Poly.zero())
+
+
+def _act_on_eps_power(lifted: LiftedGenerator, state_u: RatFn, lead: RatFn) -> tuple:
+    """One letter S of side (b) on its exact eps data: U(A, u) becomes
+    U(S(A), U_S(A, u)) and the lead c becomes S(c) * c_S."""
+    u_image, c = _branch_exact(lifted.arrow, lifted.name)
+    return (lifted.param_image(state_u).substitute({eps: u_image}),
+            lifted.param_image(lead) * c)

@@ -20,6 +20,8 @@ is semantically equal to f.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .poly import SQRT2, Poly
 from .ratfn import RatFn
 from .symbols import MASK, REGISTRY, SHIFTS, _BY_NAME
@@ -184,30 +186,26 @@ def parse_expr(text: str) -> RatFn:
 # ----------------------------------------------------------------------
 # printer
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
-def _coeff_parts(a: Fraction, b: Fraction) -> tuple[bool, str]:
-    """Return (negated, magnitude-string) for a coefficient a + b*sqrt2.
+def _coeff_parts(a: int, b: int, d: int) -> tuple[bool, str]:
+    """Return (negated, magnitude-string) for a coefficient (a + b*sqrt2)/d.
 
     Mixed a + b*sqrt2 coefficients are emitted fully parenthesized and never
     report a sign of their own.
     """
     if not b:
-        neg = a < 0
-        mag = -a if neg else a
-        return neg, _fraction_str(mag)
+        return a < 0, _ratio_str(abs(a), d)
     if not a:
-        neg = b < 0
-        mag = -b if neg else b
-        if mag == 1:
-            return neg, "sqrt2"
-        return neg, f"{_fraction_str(mag)}*sqrt2"
-    a_str = _fraction_str(a)
-    bneg, b_str = _coeff_parts(0, b)
+        mag = _ratio_str(abs(b), d)
+        return b < 0, "sqrt2" if mag == "1" else f"{mag}*sqrt2"
+    bneg, b_str = _coeff_parts(0, b, d)
     joiner = " - " if bneg else " + "
-    return False, f"({a_str}{joiner}{b_str})"
+    return False, f"({_ratio_str(a, d)}{joiner}{b_str})"
 
 
 def _monomial_str(key: int) -> str:
@@ -225,8 +223,8 @@ def print_poly(poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
-    for key, a, b in sorted(poly.coefficients(), reverse=True):
-        neg, coeff = _coeff_parts(a, b)
+    for key, a, b, d in sorted(poly.int_coefficients(), reverse=True):
+        neg, coeff = _coeff_parts(a, b, d)
         mono = _monomial_str(key)
         if not mono:
             body = coeff

@@ -21,8 +21,8 @@ by the primitive part of the divisor.  A sqrt2 operand is split as
 A + sqrt2*B into two integer parts that run through the same loops.
 A scalar of Q(sqrt2) is a constant Poly, multiplied, compared and inverted
 (by try_div) in the same kernel.  No other module reads the stored format:
-coefficients() gives a, b of each a + b*sqrt2 as Fractions.  `fractions` is
-imported only where a Fraction is built, so evaluation never loads it.
+int_coefficients() gives each term as integers (a, b) over den, and nothing
+here builds a Fraction, so no command loads `fractions`.
 
 Exponents stay below 2^15 (see symbols.py); a product, monomial shift or
 power whose result would reach 2^15 raises MonomialOverflow.
@@ -60,13 +60,9 @@ class Poly:
         """The constant a + b*sqrt2, for ints or Fractions a and b."""
         if type(a) is int and not b:
             return cls({0: a} if a else {})
-        from fractions import Fraction
-
-        a, b = Fraction(a), Fraction(b)
-        den = lcm(a.denominator, b.denominator)
-        return _constant(
-            a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-        )
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        den = lcm(da, db)
+        return _constant(na * (den // da), nb * (den // db), den)
 
     @classmethod
     def variable(cls, s: Symbol | str) -> "Poly":
@@ -98,14 +94,12 @@ class Poly:
             return ONE
         return _constant(*(c if type(c) is tuple else (c, 0)), self.den)
 
-    def coefficients(self) -> list[tuple[int, Fraction, Fraction]]:
-        """(packed key, a, b) for every term a + b*sqrt2, in storage order."""
-        from fractions import Fraction
-
+    def int_coefficients(self) -> list[tuple[int, int, int, int]]:
+        """(packed key, a, b, d) for every term (a + b*sqrt2)/d, in storage
+        order; d is the shared denominator, so a/d need not be in lowest terms."""
         den = self.den
         return [
-            (k, Fraction(c[0], den), Fraction(c[1], den)) if type(c) is tuple
-            else (k, Fraction(c, den), Fraction(0))
+            (k, *c, den) if type(c) is tuple else (k, c, 0, den)
             for k, c in self.terms.items()
         ]
 
@@ -303,39 +297,6 @@ class Poly:
 
     # ------------------------------------------------------------------
     # evaluation and slicing
-
-    def eval_exact(self, values: dict[Symbol, Fraction | tuple[int, int]]) -> "Poly":
-        """Evaluate at rational points, to a constant; every used symbol must be bound.
-
-        A value is an int, a Fraction or a pair (n, d) of ints, d > 0,
-        meaning n/d.  A bound value n/d with top exponent m in the polynomial
-        contributes n^e * d^(m-e) to a term of exponent e, so the sum stays
-        an integer over den * prod d^m.
-        """
-        tables = []
-        scale = self.den
-        for s, v in values.items():
-            m = self.max_exponent(s)
-            if m:
-                n, d = v if type(v) is tuple else v.as_integer_ratio()
-                tables.append((SHIFTS[s.index], [n**e * d ** (m - e) for e in range(m + 1)]))
-                scale *= d**m
-
-        def total(terms: dict) -> int:
-            acc = 0
-            for key, c in terms.items():
-                rest = key
-                for shift, table in tables:
-                    e = (key >> shift) & MASK
-                    c *= table[e]
-                    rest -= e << shift
-                if rest:
-                    raise ValueError("unbound symbol in exact evaluation")
-                acc += c
-            return acc
-
-        a, b = _parts(self)
-        return _constant(total(a), total(b), scale)
 
     def eval_float(self, values: dict[Symbol, float]) -> float:
         total = 0.0

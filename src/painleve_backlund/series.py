@@ -15,7 +15,7 @@ builds the series.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .exprio import print_expr, print_series
 from .poly import Poly
@@ -256,13 +256,27 @@ def series_equal(s: EpsSeries, t: EpsSeries) -> bool:
     return all(s.coeff(n).equals(t.coeff(n)) for n in orders)
 
 
+def rational_pair(c) -> tuple[int, int]:
+    """An exact rational (int, Fraction or 'p/q' text) as (n, d) in lowest
+    terms with d > 0."""
+    if isinstance(c, str):
+        n, _, d = c.partition("/")
+        n, d = int(n), int(d or 1)
+        if d == 0:
+            raise ZeroDivisionError(f"zero denominator in {c!r}")
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        return n // g, d // g
+    return c.as_integer_ratio()
+
+
 def binomial_series(x: EpsSeries, c, trunc: int | None = None) -> "EpsSeries":
     """(1 + x)^c as a formal series with constant term 1.
 
-    c is an exact rational; x must have valuation >= 1 so composition into
-    the binomial expansion is well defined.
+    c is an exact rational (see rational_pair); x must have valuation >= 1 so
+    composition into the binomial expansion is well defined.  The binomial
+    coefficients are carried as integer pairs (n, d), d > 0.
     """
-    c = Fraction(c)
+    p, q = rational_pair(c)
     if trunc is None:
         trunc = x.trunc
     v = x.valuation()
@@ -273,17 +287,20 @@ def binomial_series(x: EpsSeries, c, trunc: int | None = None) -> "EpsSeries":
     x = x.truncate(min(trunc, x.trunc))
     result = EpsSeries.const(1, trunc)
     power = EpsSeries.const(1, trunc)
-    binom = Fraction(1)
+    n, d = 1, 1
     if v is None:
         return result
     k = 0
     while (k + 1) * v <= trunc:
         k += 1
-        binom = binom * (c - k + 1) / k
+        # binom(c, k) = binom(c, k-1) * (c - k + 1)/k, with c = p/q
+        n, d = n * (p - (k - 1) * q), d * q * k
+        g = gcd(n, d)
+        n, d = n // g, d // g
         power = power * x
         if power.is_zero():
             break
-        result = result + power.scale(binom)
+        result = result + power.scale(Poly.const(n).div_int(d))
     return result
 
 
@@ -323,8 +340,8 @@ def poly_at_series(
     """
     result = EpsSeries.zero(trunc)
     powers: dict[tuple[int, int], EpsSeries] = {}
-    for key, a, b in poly.coefficients():
-        term = EpsSeries.const(Poly.const(a, b), trunc)
+    for key, a, b, d in poly.int_coefficients():
+        term = EpsSeries.const(Poly.const(a, b).div_int(d), trunc)
         rest = key
         for s, value in args.items():
             sh = SHIFTS[s.index]

@@ -15,16 +15,16 @@ def test_error_record_names_the_exception_and_its_location():
 
 
 def test_relation_ids_compute_only_their_own_relation(monkeypatch):
-    # side (b) acts on the eps series once per letter of its own relation
-    # word; recomputing every relation for every id would make 20x as many
+    # side (b) takes one exact eps step per letter of its own relation word;
+    # recomputing every relation for every id would make 20x as many
     calls = []
-    original = dg._act_on_eps_series
+    original = dg._act_on_eps_power
 
-    def counting(lifted, s):
+    def counting(lifted, state_u, lead):
         calls.append(lifted.name)
-        return original(lifted, s)
+        return original(lifted, state_u, lead)
 
-    monkeypatch.setattr(dg, "_act_on_eps_series", counting)
+    monkeypatch.setattr(dg, "_act_on_eps_power", counting)
     arr = dg.arrow("VI", "V")
     ids = [i for i in ck.arrow_check_ids(arr, "relations") if "/relation/" in i]
     assert len(ids) == 20

@@ -9,9 +9,12 @@ import pytest
 
 import painleve_backlund
 from painleve_backlund.degeneration import (
+    _ARROW_DATA,
     ARROW_KEYS,
+    BranchDataError,
     UnsupportedArrow,
-    _act_on_eps_series,
+    _branch_exact,
+    _build_arrow,
     arrow,
     arrow_data_labels,
     arrows,
@@ -38,7 +41,6 @@ from painleve_backlund.exprio import parse_expr as P
 from painleve_backlund.groups import fundamental_relations
 from painleve_backlund.ratfn import RatFn, ratfn_equal
 from painleve_backlund.series import (
-    FLOOR,
     DivergesAtZero,
     EpsSeries,
     binomial_series,
@@ -494,20 +496,82 @@ def test_per_id_functions_agree_with_the_list_apis():
         assert per_side == relations, (J, K)
 
 
-def test_lifted_generator_caches_eps_series_powers():
-    for J, K in ALL:
-        a = arrow(J, K)
-        for name in a.subgroup_words:
-            lifted = lift_generator(a, name)
-            for n in range(-2, a.trunc + 1):
-                cached = lifted.eps_series_power(n)
-                direct = lifted.eps_series**n
-                # kept only to the arrow's order, where it is composed
-                assert cached.trunc == min(a.trunc, direct.trunc), (J, K, name, n)
-                assert series_equal(cached, direct), (J, K, name, n)
-                for k in range(FLOOR, cached.trunc + 1):
-                    assert cached.coeff(k) == direct.coeff(k), (J, K, name, n, k)
-                assert lifted.eps_series_power(n) is cached, (J, K, name, n)
+DECLARED = dict(_ARROW_DATA)
+
+
+def fresh_arrow(monkeypatch, key, **branches):
+    """key's arrow built afresh, past the arrow cache, with the declared eps
+    branches of the named generators replaced.  Side (b) reads the branches
+    from the arrow data, so the replacement holds until the next call."""
+    data = DECLARED[key]
+    branches = {**data["eps_action"], **branches}
+    monkeypatch.setitem(_ARROW_DATA, key, dict(data, eps_action=branches))
+    return _build_arrow.__wrapped__(key, data["trunc"])
+
+
+def test_each_letters_exact_branch_data_is_built_once(monkeypatch):
+    # side (b) reads each (arrow, letter)'s exact branch data from one memo
+    for key in ALL:
+        a = fresh_arrow(monkeypatch, key)
+        relations = fundamental_relations(a.target)
+        before = _branch_exact.cache_info()
+        assert all(verify_subgroup_relation(a, rel, "b") for rel, _ in relations), key
+        after = _branch_exact.cache_info()
+        letters = sum(len(word) for _, word in relations)
+        assert after.misses - before.misses == len(a.subgroup_words), key
+        assert after.hits - before.hits == letters - len(a.subgroup_words), key
+    # (S^k in u = eps^k, written in eps; order-1 coefficient of S)
+    for (J, K), name, u_image, lead in (
+        (("VI", "V"), "S0", "eps/(1 - A0*eps)", "1"),
+        (("V", "IV"), "S0", "eps/(1 + 2*A0*eps)", "1"),
+        (("V", "III"), "S1", "-eps", "-1"),
+        (("IV", "II"), "S1", "eps/(1 + 4*A1*eps)", "1"),
+        (("III", "II"), "S0", "-eps", "-1"),
+    ):
+        got = _branch_exact(arrow(J, K), name)
+        assert ratfn_equal(got[0], P(u_image)) and ratfn_equal(got[1], P(lead)), (J, K, name)
+
+
+def test_side_b_catches_a_wrong_branch_sign(monkeypatch):
+    # S1 = -eps has the right square, so every eps/* id passes and the
+    # u-state closes; only the product of the leads, (-1)^3, fails the two
+    # relations with three S1 letters
+    a = fresh_arrow(monkeypatch, ("V", "IV"), S1="-eps")
+    assert all(ok for name in a.subgroup_words for _, ok in verify_eps_action(a, name))
+    u_image, lead = _branch_exact(a, "S1")
+    assert ratfn_equal(u_image, P("eps")) and ratfn_equal(lead, P("-1"))
+    fails = [rel for rel, _ in fundamental_relations("IV")
+             if not verify_subgroup_relation(a, rel, "b")]
+    assert fails == ["(s0 s1)^3", "(s1 s2)^3"]
+
+
+def test_side_b_catches_a_wrong_branch_power(monkeypatch):
+    a = fresh_arrow(monkeypatch, ("V", "IV"), S0=("2*A0*eps^2", "1/2"))
+    assert verify_eps_action(a, "S0") == [("S0(eps)^2", False)]
+    fails = [rel for rel, _ in fundamental_relations("IV")
+             if not verify_subgroup_relation(a, rel, "b")]
+    assert fails == ["s0^2", "(s0 s1)^3", "(s2 s0)^3"]
+
+
+def test_branch_data_is_validated_when_the_arrow_is_built(monkeypatch):
+    # k*power must be an integer: 2 * (-1/3) is not
+    with pytest.raises(BranchDataError, match=r"V->IV S0: 2 \* power -1/3 is not an integer"):
+        fresh_arrow(monkeypatch, ("V", "IV"), S0=("2*A0*eps^2", "-1/3"))
+    # the order-1 coefficient must be nonzero, and nothing may lie below it
+    for image in ("eps^2", "0", "1 + eps"):
+        with pytest.raises(BranchDataError, match=r"VI->V S1: the branch is not c\*eps"):
+            fresh_arrow(monkeypatch, ("VI", "V"), S1=image)
+    # side (b) writes eps^k as u, so the lifted A actions must be free of eps
+    data = DECLARED[("VI", "V")]
+    inverse = {**data["param_inverse"], "A1": "alpha4*alpha0"}
+    monkeypatch.setitem(_ARROW_DATA, ("VI", "V"), dict(data, param_inverse=inverse))
+    a = _build_arrow.__wrapped__(("VI", "V"), data["trunc"])
+    with pytest.raises(BranchDataError, match=r"VI->V S0: the lifted parameter actions"):
+        verify_subgroup_relation(a, "s0^2", "b")
+    # a k-th power that is not rational in eps^k is refused when side (b) reads it
+    a = fresh_arrow(monkeypatch, ("V", "IV"), S1="eps/(1 + A1*eps)")
+    with pytest.raises(BranchDataError, match=r"V->IV S1: S\^2 is not rational in eps\^2"):
+        verify_subgroup_relation(a, "s1^2", "b")
 
 
 BIRATIONAL_AND_V_IV = (("VI", "V"), ("V", "III"), ("V", "IV"))
@@ -548,16 +612,23 @@ def untruncated_side_b_eps(arr, rel):
     return state
 
 
-def test_side_b_series_match_the_untruncated_composition():
-    for J, K in BIRATIONAL_AND_V_IV:
-        a = arrow(J, K)
-        for rel, word in fundamental_relations(K):
-            state = EpsSeries.eps_power(1, a.trunc)
-            for s_name in reversed(word):
-                state = _act_on_eps_series(lift_generator(a, "S" + s_name[1:]), state)
+def test_exact_side_b_matches_the_untruncated_composition(monkeypatch):
+    # exact side (b) passes exactly when the series composition is eps to
+    # order T, on the five arrows and on two wrong branches of V -> IV
+    cases = [(key, {}) for key in ALL] + [
+        (("V", "IV"), {"S1": "-eps"}),
+        (("V", "IV"), {"S0": ("2*A0*eps^2", "1/2")}),
+    ]
+    verdicts = []
+    for key, branches in cases:
+        a = fresh_arrow(monkeypatch, key, **branches) if branches else arrow(*key)
+        for rel, _ in fundamental_relations(a.target):
             ref = untruncated_side_b_eps(a, rel)
-            assert state.trunc == ref.trunc, (J, K, rel)
-            assert state.coeffs == ref.coeffs, (J, K, rel)
+            assert ref.trunc == a.trunc, (a.name, rel)
+            closes = series_equal(ref, EpsSeries.eps_power(1, a.trunc))
+            assert closes == verify_subgroup_relation(a, rel, "b"), (a.name, rel)
+            verdicts.append(closes)
+    assert verdicts.count(False) == 5
 
 
 RELATION_WORK_SCRIPT = """
@@ -591,16 +662,17 @@ print(json.dumps(counts))
 
 def test_relation_checks_stay_within_their_work_budget():
     # Poly products over every relation/* id of an arrow, from empty caches
-    # and parsed group tables: a deterministic work count.  Composing side
-    # (b)'s eps-powers to order T+n+1 and substituting each coefficient
-    # afresh costs 6,819, 4,720 and 4,011 products.
+    # and parsed group tables: a deterministic work count (1,620, 964 and
+    # 999).  Composing side (b)'s eps-series to order T instead of the exact
+    # branch data costs 3,806, 2,391 and 2,040 products; to order T+n+1,
+    # with each coefficient substituted afresh, 6,819, 4,720 and 4,011.
     src = Path(painleve_backlund.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", RELATION_WORK_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
-    budgets = {"VI-V": (20, 4_500), "V-III": (10, 3_000), "V-IV": (12, 2_450)}
+    budgets = {"VI-V": (20, 1_700), "V-III": (10, 1_000), "V-IV": (12, 1_050)}
     for key, (n_ids, budget) in budgets.items():
         ids, calls, outcomes = counts[key]
         assert ids == n_ids and outcomes == ["pass"], (key, counts[key])

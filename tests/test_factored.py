@@ -33,8 +33,8 @@ def plain_subst_poly(poly, bindings):
         den_pows.append(dpws)
     shifts = [SHIFTS[s.index] for s, _ in active]
     result = Poly.zero()
-    for key, a, b in poly.coefficients():
-        term = Poly.const(a, b)
+    for key, a, b, d in poly.int_coefficients():
+        term = Poly.const(a, b).div_int(d)
         rest = key
         for i, sh in enumerate(shifts):
             e = (key >> sh) & MASK

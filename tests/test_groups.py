@@ -199,8 +199,7 @@ WORK_SCRIPT = """
 import json
 from painleve_backlund import poly
 
-counts = dict.fromkeys(["FactoredFrac.substitute", "Poly.try_div", "Poly.eval_exact",
-                        "Poly.__mul__"], 0)
+counts = dict.fromkeys(["FactoredFrac.substitute", "Poly.try_div", "Poly.__mul__"], 0)
 
 def count(cls, name):
     orig = getattr(cls, name)
@@ -210,7 +209,7 @@ def count(cls, name):
     setattr(cls, name, spy)
 
 # before factored loads, since it keeps Poly.try_div and Poly.__pow__ by value
-for name in ("try_div", "eval_exact", "__mul__"):
+for name in ("try_div", "__mul__"):
     count(poly.Poly, name)
 from painleve_backlund import factored
 from painleve_backlund.checks import group_check_ids, run_check
@@ -246,5 +245,4 @@ def test_group_checks_stay_within_their_work_budget():
     assert n_ids == 89 and outcomes == ["pass"]
     assert counts["FactoredFrac.substitute"] <= 900, counts
     assert counts["Poly.try_div"] <= 850, counts
-    assert counts["Poly.eval_exact"] == 0, counts
     assert counts["Poly.__mul__"] <= 3_183, counts

@@ -32,10 +32,8 @@ N = 40
 
 def to_sympy(poly):
     total = sympy.Integer(0)
-    for key, a, b in poly.coefficients():
-        term = sympy.Rational(a.numerator, a.denominator) + SQRT2 * sympy.Rational(
-            b.numerator, b.denominator
-        )
+    for key, a, b, d in poly.int_coefficients():
+        term = sympy.Rational(a, d) + SQRT2 * sympy.Rational(b, d)
         for s in REGISTRY:
             e = (key >> SHIFTS[s.index]) & MASK
             if e:
@@ -54,7 +52,7 @@ def same_value(expr, f):
 
 
 def has_sqrt2(poly):
-    return any(b for _, _, b in poly.coefficients())
+    return any(b for _, _, b, _ in poly.int_coefficients())
 
 
 def sqrt2_poly(rng, **kw):

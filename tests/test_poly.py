@@ -72,12 +72,6 @@ def test_try_div_exact_and_inexact(seed):
     assert P("q^2 - t^2").try_div(P("q - 1")) is None
 
 
-def test_eval_exact():
-    f = P("q^2*t - 1/2")
-    value = f.eval_exact({q_: Fraction(2), t_: Fraction(1, 3)})
-    assert value == Poly.const(Fraction(4, 3) - Fraction(1, 2))
-
-
 # Scalars of Q(sqrt2) are constant polynomials: the kernel's product and
 # equality apply to them, and ONE.try_div(c) is the inverse of c.
 
@@ -136,9 +130,9 @@ def test_float_coefficients_match_the_fraction_formula(seed):
     for _ in range(200):
         scale = Poly.const(Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)))
         f = rand_poly(rng, (t_, q_), sqrt2_prob=0.5) * scale
-        assert [k for k, _ in f.float_coefficients()] == [k for k, _, _ in f.coefficients()]
-        for (_, x), (_, a, b) in zip(f.float_coefficients(), f.coefficients()):
-            assert repr(x) == repr(float(Fraction(a)) + float(Fraction(b)) * math.sqrt(2.0))
+        assert [k for k, _ in f.float_coefficients()] == [k for k, *_ in f.int_coefficients()]
+        for (_, x), (_, a, b, d) in zip(f.float_coefficients(), f.int_coefficients()):
+            assert repr(x) == repr(float(Fraction(a, d)) + float(Fraction(b, d)) * math.sqrt(2.0))
 
 
 def test_canonical_form_is_unique(seed):

@@ -14,6 +14,7 @@ from painleve_backlund.series import (
     ratfn_at_series,
     ratfn_eps_valuation,
     ratfn_limit_eps0,
+    rational_pair,
     series_equal,
     poly_at_series,
 )
@@ -75,6 +76,24 @@ def test_binomial_zero_argument():
 def test_binomial_sixth_root():
     got = binomial_series(S("4*A1*eps^6", 6), Fraction(-1, 6))
     assert series_equal(got, S("1 - (2/3)*A1*eps^6", 6))
+
+
+def test_binomial_exponent_forms_agree():
+    # an int, a Fraction and 'p/q' text (any sign, not in lowest terms) give
+    # one series; the binomials are integer pairs, so the k-th power of a
+    # (-1/k)-th power series with k = 3 is exactly the inverse
+    x = S("4*A1*eps^3", 12)
+    for c, forms in ((-1, (-1, Fraction(-1), "-1", "2/-2")),
+                     (Fraction(-1, 3), ("-1/3", "2/-6", Fraction(-2, 6))),
+                     (Fraction(5, 2), ("5/2", "10/4"))):
+        want = binomial_series(x, c)
+        for form in forms:
+            assert binomial_series(x, form).coeffs == want.coeffs, (c, form)
+    assert series_equal(binomial_series(x, "-1/3") ** 3, S("1/(1 + 4*A1*eps^3)", 12))
+    assert series_equal(binomial_series(x, 2), S("(1 + 4*A1*eps^3)^2", 12))
+    assert rational_pair("6/-4") == (-3, 2) and rational_pair(Fraction(6, 4)) == (3, 2)
+    with pytest.raises(ZeroDivisionError):
+        rational_pair("1/0")
 
 
 def test_binomial_rejects_nonpositive_valuation():

@@ -23,8 +23,8 @@ IN_PROCESS = ("concurrent.futures.process", "multiprocessing")
 DEGENERATION = ("painleve_backlund.degeneration", "painleve_backlund.series")
 
 # neither importing the CLI nor numeric backlund runs any of these: the
-# records are namedtuples, Fractions are built only by the exact engine, and
-# the factored engine only acts by words
+# records are namedtuples, no command builds a Fraction, and the factored
+# engine only acts by words
 LAZY = IN_PROCESS + DEGENERATION + (
     "painleve_backlund.checks",
     "painleve_backlund.factored",
@@ -65,10 +65,13 @@ state["verify-groups"] = [rc, loaded({DEGENERATION!r} + ("fractions", "decimal")
 import painleve_backlund as pb
 from painleve_backlund import degeneration as dg
 state["missing"] = [name for name in pb.__all__ if not hasattr(pb, name)]
-rc = run("degenerate", "IV", "II", "--what", "params")
+rc = run("degenerate", "IV", "II", "--what", "all")
 state["IV-II"] = [rc, held(dg._build_arrow, (("IV", "II"), 12))]
 rc = run("degenerate", "V", "III", "--what", "params", "--order", "10")
 state["V-III@10"] = [rc, held(dg._build_arrow, (("IV", "II"), 12), (("V", "III"), 10))]
+rc = run("numeric", "degeneration", "--arrow", "IV", "II")
+# binomials, printing and series evaluation run on integer pairs
+state["fraction-free"] = [rc, loaded(("fractions", "decimal"))]
 # no --jobs above: the default runs every symbolic check in this process
 state["workers"] = loaded({IN_PROCESS!r})
 print(json.dumps(state))
@@ -95,6 +98,8 @@ def test_start_up_loads_only_what_the_command_runs():
         "IV-II": [0, [1, True]],
         # ... or only at the --order given
         "V-III@10": [0, [2, True]],
+        # neither degenerate nor numeric degeneration loads fractions
+        "fraction-free": [0, []],
         "workers": [],
     }
 
