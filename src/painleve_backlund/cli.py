@@ -84,8 +84,9 @@ def cmd_degenerate(args) -> int:
     except dg.UnsupportedArrow as exc:
         return _input_error(str(exc))
     if args.order is not None and args.order <= power:
-        # at eps^k the S(eps)^k comparisons keep only the leading term, so a
-        # wrong eps branch passes; below it they compare nothing
+        # at orders <= 1 the lifted series run out of known terms: factor/*
+        # divide by a series with no known lead, and IV->II and III->II
+        # limit/S*/T lose order 0; every arrow's eps power bounds those orders
         return _input_error(
             f"--order {args.order} is not above the eps power {power}"
             f" of {args.source}->{args.target}; its branch checks need order"

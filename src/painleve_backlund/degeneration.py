@@ -3,11 +3,14 @@
 Each arrow J -> K is data: the parameter substitution alpha = alpha(A, eps),
 the forward variable maps (t, q, p) -> (A, eps, T, Q, P), the inverse maps
 (T, Q, P) expressed in source coordinates, the subgroup words S_i in W_J,
-the declared branch series for S_i(eps), and the Hamiltonian/derivation
-rescale.  Inverse maps were derived by solving the forward maps and are
-pinned by round-trip checks.  An arrow is parsed from its data on first
-use, once per truncation order, so a command builds only the arrow it
-checks.
+the declared branches S_i(eps), and the Hamiltonian/derivation rescale.
+Inverse maps were derived by solving the forward maps and are pinned by
+round-trip checks.  An arrow is parsed from its data on first use, once per
+truncation order, so a command builds only the arrow it checks.  Each
+declared branch is read there once, into the two forms the checks use: its
+eps-series (the lifted variable actions) and its exact k-th power in
+u = eps^k with its lead coefficient (the eps ids and the eps part of the
+relation checks, both exact).
 
 Lifted actions are computed by conjugation, never transcribed: express the
 target symbol in source coordinates, act by the word exactly in W_J, push
@@ -28,14 +31,7 @@ from .exprio import parse_expr
 from .groups import Word, _word_on_symbol, fundamental_relations, generator, verify_relation
 from .poly import Poly
 from .ratfn import RatFn, ratfn_equal
-from .series import (
-    EpsSeries,
-    binomial_series,
-    ratfn_at_series,
-    ratfn_limit_eps0,
-    rational_pair,
-    series_equal,
-)
+from .series import EpsSeries, binomial_series, ratfn_at_series, ratfn_limit_eps0, rational_pair
 from .symbols import A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, sym, t_, tau, var_key
 from .systems import poisson_bracket, system
 
@@ -60,6 +56,7 @@ class DegenerationArrow:
     subgroup_words: dict[str, Word]
     alt_words: dict[str, Word]
     eps_action: dict[str, EpsSeries]
+    eps_exact: dict[str, tuple[RatFn, RatFn]]
     eps_power: int
     eps_in_source: RatFn
     tau_pushforward: RatFn | None
@@ -383,23 +380,33 @@ def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
     def smap(names_exprs: dict[str, str]) -> dict[Symbol, RatFn]:
         return {sym(k): parse_expr(v) for k, v in names_exprs.items()}
 
-    def branch(name: str, image) -> EpsSeries:
-        """The declared branch, with two orders of headroom so that shifted
-        products downstream still reach the truncation order."""
+    def branch(name: str, image) -> tuple[EpsSeries, tuple[RatFn, RatFn]]:
+        """The declared branch S as a series, with two orders of headroom so
+        that shifted products downstream still reach the truncation order,
+        and exactly: (U, c) with S^k = U(A, eps^k) (eps stands for u = eps^k
+        in U) and c the order-1 coefficient of S.  A rational image r gives
+        S^k = r^k, a pair (inner, power) eps^k * (1 + inner)^(k*power)."""
         where, k = f"{key[0]}->{key[1]} {name}", data["eps_power"]
         if isinstance(image, str):
-            series = EpsSeries.from_ratfn(parse_expr(image), trunc + 2)
+            r = parse_expr(image)
+            series, power = EpsSeries.from_ratfn(r, trunc + 2), r**k
         else:  # eps * (1 + inner)^power
             n, d = rational_pair(image[1])
             if k * n % d:
                 raise BranchDataError(f"{where}: {k} * power {image[1]} is not an integer")
-            x = EpsSeries.from_ratfn(parse_expr(image[0]), trunc + 2)
+            inner = parse_expr(image[0])
+            x = EpsSeries.from_ratfn(inner, trunc + 2)
             series = binomial_series(x, image[1], trunc + 2).shift(1)
+            power = RatFn.variable(eps) ** k * (RatFn.const(1) + inner) ** (k * n // d)
         if series.valuation() != 1:
             raise BranchDataError(f"{where}: the branch is not c*eps*(1 + O(eps)), c != 0")
-        return series
+        num, den = _in_u(power.num, k), _in_u(power.den, k)
+        if num is None or den is None:
+            raise BranchDataError(f"{where}: S^{k} is not rational in eps^{k}")
+        return series, (RatFn(num, den), series.coeff(1))
 
     tau_image = data.get("tau_pushforward")
+    branches = {name: branch(name, image) for name, image in data["eps_action"].items()}
     return DegenerationArrow(
         source=key[0],
         target=key[1],
@@ -409,7 +416,8 @@ def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
         var_inverse=smap(data["var_inverse"]),
         subgroup_words=data["subgroup_words"],
         alt_words=data["alt_words"],
-        eps_action={name: branch(name, image) for name, image in data["eps_action"].items()},
+        eps_action={name: series for name, (series, _) in branches.items()},
+        eps_exact={name: exact for name, (_, exact) in branches.items()},
         eps_power=data["eps_power"],
         eps_in_source=parse_expr(data["eps_in_source"]),
         tau_pushforward=None if tau_image is None else parse_expr(tau_image),
@@ -475,16 +483,11 @@ def lift_word(
         )
         param_actions[A[i]] = expr.substitute(arr.param_map)
 
+    eps_exact = _eps_power_image(arr, word) if arr.is_birational() else None
     if eps_series is None:
-        if arr.is_birational():
-            expr = arr.eps_in_source.substitute(
-                {v: _word_on_symbol(J, word, v) for v in alpha}
-            )
-            eps_series = EpsSeries.from_ratfn(expr.substitute(arr.param_map), arr.trunc)
-        else:
-            raise ValueError(
-                f"word {word} on {arr.name} needs an explicit eps branch"
-            )
+        if eps_exact is None:
+            raise ValueError(f"word {word} on {arr.name} needs an explicit eps branch")
+        eps_series = EpsSeries.from_ratfn(eps_exact, arr.trunc)
 
     lifted = LiftedGenerator(arr, name or "".join(word), word, param_actions, eps_series)
 
@@ -497,11 +500,8 @@ def lift_word(
         if v in needed:
             pushed[v] = arr.pushforward(_word_on_symbol(J, word, v))
 
-    if arr.is_birational():
+    if eps_exact is not None:
         # eps is rational in the source parameters: the whole lift is exact.
-        eps_exact = arr.eps_in_source.substitute(
-            {v: _word_on_symbol(J, word, v) for v in alpha}
-        ).substitute(arr.param_map)
         bindings = dict(pushed)
         bindings[eps] = eps_exact
         lifted.exact_var = {
@@ -525,6 +525,13 @@ def lift_word(
         for X in (T_, Q_, P_)
     }
     return lifted
+
+
+def _eps_power_image(arr: DegenerationArrow, word: Word) -> RatFn:
+    """The exact image of eps^k (k = eps_power) under the word, in (A, eps):
+    eps^k is rational in the source parameters."""
+    expr = arr.eps_in_source.substitute({v: _word_on_symbol(arr.source, word, v) for v in alpha})
+    return expr.substitute(arr.param_map)
 
 
 def _lift_inverse_expr(
@@ -775,28 +782,17 @@ def verify_eps_action(arr: DegenerationArrow, name: str) -> list[tuple[str, bool
     """Branch consistency of S_name: S(eps)^k equals the exact action on eps^k.
 
     eps^k is rational in the source parameters (k = 1 for the birational
-    arrows), so its image under the word is exact; the declared branch must
-    reproduce it when raised to the k-th power.  Where the arrow carries a
-    tau sign, S(tau)^2 is checked the same way.
+    arrows), so its image under the word is exact; the declared branch's
+    k-th power, U(A, eps^k), must equal it as a rational function.  Where
+    the arrow carries a tau sign, S(tau)^2 must be the exact image of
+    tau^2 = -t.
     """
-    word = arr.subgroup_words[name]
-    expr = arr.eps_in_source.substitute(
-        {v: _word_on_symbol(arr.source, word, v) for v in alpha}
-    )
-    exact_power = expr.substitute(arr.param_map)
-    declared = arr.eps_action[name] ** arr.eps_power
-    ok = series_equal(declared, EpsSeries.from_ratfn(exact_power, arr.trunc))
-    results = [(f"{name}(eps)^{arr.eps_power}", ok)]
+    word, k = arr.subgroup_words[name], arr.eps_power
+    declared = arr.eps_exact[name][0].substitute({eps: RatFn.variable(eps) ** k})
+    results = [(f"{name}(eps)^{k}", ratfn_equal(declared, _eps_power_image(arr, word)))]
     if arr.tau_signs.get(name) is not None:
-        # tau branch: S(tau)^2 must be the exact image of tau^2 = -t.
         t_img = arr.pushforward(_word_on_symbol(arr.source, word, t_))
-        tau_img = EpsSeries.from_ratfn(arr.tau_pushforward, arr.trunc)
-        signed = tau_img if arr.tau_signs[name] > 0 else -tau_img
-        ok_tau = series_equal(
-            signed * signed,
-            EpsSeries.from_ratfn(-t_img, arr.trunc),
-        )
-        results.append((f"{name}(tau)^2", ok_tau))
+        results.append((f"{name}(tau)^2", ratfn_equal(arr.tau_pushforward**2, -t_img)))
     return results
 
 
@@ -847,24 +843,12 @@ def verify_subgroup_relations(arr: DegenerationArrow) -> list[tuple[str, bool, b
 
 @cache
 def _branch_exact(arr: DegenerationArrow, name: str) -> tuple[RatFn, RatFn]:
-    """S_name's declared branch S as side (b) composes it: (U, c) with
-    S^k = U(A, eps^k) exactly (k = eps_power; eps stands for u = eps^k in U)
-    and c the order-1 coefficient of S.  A rational image r gives r^k, a pair
-    (inner, power) eps^k * (1 + inner)^(k*power), k*power an integer."""
-    k = arr.eps_power
-    where = f"{arr.name} {name}"
+    """S_name's declared branch as side (b) composes it: the arrow's exact
+    pair (U, c), S^k = U(A, eps^k) with lead c.  Writing eps^k as u is sound
+    only while the lifted parameter actions are free of eps."""
     if any(f.uses(eps) for f in lift_generator(arr, name).param_actions.values()):
-        raise BranchDataError(f"{where}: the lifted parameter actions depend on eps")
-    image = arrow_data(arr.source, arr.target)["eps_action"][name]
-    if isinstance(image, str):
-        power = parse_expr(image) ** k
-    else:
-        n, d = rational_pair(image[1])
-        power = RatFn.variable(eps) ** k * (RatFn.const(1) + parse_expr(image[0])) ** (k * n // d)
-    num, den = _in_u(power.num, k), _in_u(power.den, k)
-    if num is None or den is None:
-        raise BranchDataError(f"{where}: S^{k} is not rational in eps^{k}")
-    return RatFn(num, den), arr.eps_action[name].coeff(1)
+        raise BranchDataError(f"{arr.name} {name}: the lifted parameter actions depend on eps")
+    return arr.eps_exact[name]
 
 
 def _in_u(f: Poly, k: int) -> Poly | None:

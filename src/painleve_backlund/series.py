@@ -155,11 +155,14 @@ class EpsSeries:
         return EpsSeries({n: c for n, c in self.coeffs.items() if n <= m}, m)
 
     def limit_eps0(self) -> RatFn:
-        """The order-0 coefficient, provided no negative order survives."""
+        """The order-0 coefficient, provided no negative order survives;
+        unknown (ValueError) when the truncation lies below order 0."""
         negatives = [n for n in self.coeffs if n < 0]
         if negatives:
             n = min(negatives)
             raise DivergesAtZero(n, self.coeffs[n])
+        if self.trunc < 0:
+            raise ValueError(f"the order-0 coefficient is unknown at truncation {self.trunc}")
         return self.coeffs.get(0, RatFn.const(0))
 
     # ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -155,12 +156,13 @@ def test_jobs_below_one_is_refused(capsys):
 
 
 def test_order_below_eps_power_is_refused(capsys):
-    # a truncation below eps^6 holds no term of the S(eps)^6 comparisons of IV -> II
+    # at orders <= 1 the IV -> II limit/S*/T ids run out of known terms, and
+    # the guard refuses every order up to the eps power
     assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
                        "--order", "-20", "--jobs", "1")
     assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
                        "--order", "5", "--jobs", "1")
-    # at order == eps_power a sign-flipped VI -> V S0 eps branch passes
+    # the bound is the eps power on the birational arrows too
     assert_input_error(capsys, "degenerate", "VI", "V", "--order", "1")
 
 
@@ -319,3 +321,34 @@ def test_every_process_freezes_its_objects_once_at_exit(argv, code):
         text = text.lstrip()[end:]
     assert len(reports) == (1 if code == 2 else 2)
     assert all(doc["summary"]["total"] == len(doc["checks"]) for doc in reports)
+
+
+# sha256 of the stdout of each symbolic JSON report at the default order, and
+# its exit code.  A change that alters printed text updates these digests and
+# says why.
+REPORT_DIGESTS = {
+    ("verify-groups",): (0,
+        "13a958cfc8f38e626cd8484c21bc2ebaab27b40c273f473605db89265af52cc3"),
+    ("degenerate", "VI", "V", "--what", "all"): (0,
+        "017a72c123442b78c0979516ef32ff4e25e1da39c88d49105a293cd94f09084d"),
+    ("degenerate", "V", "IV", "--what", "all"): (0,
+        "6d04d6806d5708956ec846bfd07d6117ab3abfbc7b3ba6eedeee758bfaf0eea5"),
+    ("degenerate", "V", "III", "--what", "all"): (0,
+        "0e13c28db0037ce77ed663ff60f337ac238af2c45b6cac8ae49a1ca84e259aae"),
+    ("degenerate", "IV", "II", "--what", "all"): (0,
+        "875730dcdb3de754c6764720df7b3eccda2c2510e69d01c8a0034468e02a7225"),
+    ("degenerate", "III", "II", "--what", "all"): (0,
+        "2ceaaf5d66075fb5a8cf036b7fa7e39eef3b2378e1ce1c1b80a13c8c0ad3de00"),
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_symbolic_reports_are_pinned_byte_for_byte(argv):
+    # each report from a fresh interpreter, as a command would print it
+    env = dict(os.environ, PYTHONPATH=str(Path(painleve_backlund.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "painleve_backlund.cli", *argv, "--format", "json"],
+        env=env, capture_output=True, timeout=120,
+    )
+    got = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
+    assert got == REPORT_DIGESTS[argv], proc.stderr.decode()

@@ -501,8 +501,8 @@ DECLARED = dict(_ARROW_DATA)
 
 def fresh_arrow(monkeypatch, key, **branches):
     """key's arrow built afresh, past the arrow cache, with the declared eps
-    branches of the named generators replaced.  Side (b) reads the branches
-    from the arrow data, so the replacement holds until the next call."""
+    branches of the named generators replaced.  The arrow keeps the branches
+    it was built from, so the table is restored at the end of the test."""
     data = DECLARED[key]
     branches = {**data["eps_action"], **branches}
     monkeypatch.setitem(_ARROW_DATA, key, dict(data, eps_action=branches))
@@ -568,10 +568,42 @@ def test_branch_data_is_validated_when_the_arrow_is_built(monkeypatch):
     a = _build_arrow.__wrapped__(("VI", "V"), data["trunc"])
     with pytest.raises(BranchDataError, match=r"VI->V S0: the lifted parameter actions"):
         verify_subgroup_relation(a, "s0^2", "b")
-    # a k-th power that is not rational in eps^k is refused when side (b) reads it
-    a = fresh_arrow(monkeypatch, ("V", "IV"), S1="eps/(1 + A1*eps)")
+    # a k-th power that is not rational in eps^k is refused when the arrow is built
     with pytest.raises(BranchDataError, match=r"V->IV S1: S\^2 is not rational in eps\^2"):
-        verify_subgroup_relation(a, "s1^2", "b")
+        fresh_arrow(monkeypatch, ("V", "IV"), S1="eps/(1 + A1*eps)")
+
+
+def test_an_arrow_keeps_the_branches_it_was_built_from(monkeypatch):
+    # side (b) composes the patched arrow's own branch data, not whatever
+    # the table holds when it first runs
+    patched = fresh_arrow(monkeypatch, ("V", "IV"), S0=("2*A0*eps^2", "1/2"))
+    monkeypatch.setitem(_ARROW_DATA, ("V", "IV"), DECLARED[("V", "IV")])
+    declared = _build_arrow.__wrapped__(("V", "IV"), patched.trunc)
+    assert not verify_subgroup_relation(patched, "s0^2", "b")
+    assert verify_subgroup_relation(declared, "s0^2", "b")
+
+
+def test_eps_ids_compare_the_branch_exactly(monkeypatch):
+    # eps^12 lies beyond VI -> V's truncation order 8, so only an exact
+    # comparison sees that this S1 is not the word's image of eps
+    a = fresh_arrow(monkeypatch, ("VI", "V"), S1="eps + eps^12")
+    assert a.trunc == 8
+    assert verify_eps_action(a, "S1") == [("S1(eps)^1", False)]
+    assert verify_eps_action(a, "S0") == [("S0(eps)^1", True)]
+
+
+def test_limit_below_the_known_terms_is_refused():
+    # at order 1 the IV -> II lift of S0 on T keeps no term at order 0
+    lifted = lift_generator(arrow("IV", "II", order=1), "S0")
+    assert lifted.action_series(T_, 0).trunc < 0
+    with pytest.raises(ValueError, match="unknown at truncation"):
+        lifted.action_limit(T_)
+    with pytest.raises(ValueError, match="unknown at truncation -1"):
+        EpsSeries({}, -1).limit_eps0()
+    # a negative order that is known still diverges
+    with pytest.raises(DivergesAtZero):
+        EpsSeries({-3: P("T")}, -1).limit_eps0()
+    assert ratfn_equal(EpsSeries({0: P("T")}, 0).limit_eps0(), P("T"))
 
 
 BIRATIONAL_AND_V_IV = (("VI", "V"), ("V", "III"), ("V", "IV"))
@@ -636,26 +668,35 @@ import json
 from painleve_backlund import checks, degeneration as dg, groups, systems
 from painleve_backlund.poly import Poly
 
-counts = {}
 mul = Poly.__mul__
-for J, K in (("VI", "V"), ("V", "III"), ("V", "IV")):
+calls = [0]
+
+def spy(a, b):
+    calls[0] += 1
+    return mul(a, b)
+
+def run(J, K, kind, count_build):
+    # empty caches and parsed group tables; the arrow's own build is
+    # counted only when count_build is set
     for module in (groups, systems, dg):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     groups.generators(J), groups.generators(K)
+    calls[0] = 0
+    Poly.__mul__ = spy if count_build else mul
     arr = dg.arrow(J, K)
-    ids = [i for i in checks.arrow_check_ids(arr) if "/relation/" in i]
-    calls = [0]
-
-    def spy(a, b):
-        calls[0] += 1
-        return mul(a, b)
-
+    ids = [i for i in checks.arrow_check_ids(arr) if f"/{kind}/" in i]
     Poly.__mul__ = spy
     outcomes = {checks.run_check(i).outcome for i in ids}
     Poly.__mul__ = mul
-    counts[f"{J}-{K}"] = [len(ids), calls[0], sorted(outcomes)]
+    return [len(ids), calls[0], sorted(outcomes)]
+
+counts = {}
+for J, K in (("VI", "V"), ("V", "III"), ("V", "IV")):
+    counts[f"relation {J}-{K}"] = run(J, K, "relation", False)
+for J, K in dg.ARROW_KEYS:
+    counts[f"eps {J}-{K}"] = run(J, K, "eps", True)
 print(json.dumps(counts))
 """
 
@@ -666,13 +707,22 @@ def test_relation_checks_stay_within_their_work_budget():
     # 999).  Composing side (b)'s eps-series to order T instead of the exact
     # branch data costs 3,806, 2,391 and 2,040 products; to order T+n+1,
     # with each coefficient substituted afresh, 6,819, 4,720 and 4,011.
+    # The eps/* ids are counted with the arrow's build, which also builds
+    # the exact branch pairs they compare: 328, 360, 238, 299 and 358
+    # products, against 486, 661, 370, 399 and 830 when they compared
+    # S(eps)^k with the word's image as series truncated at order T.
     src = Path(painleve_backlund.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", RELATION_WORK_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
-    budgets = {"VI-V": (20, 1_700), "V-III": (10, 1_000), "V-IV": (12, 1_050)}
+    budgets = {
+        "relation VI-V": (20, 1_700), "relation V-III": (10, 1_000),
+        "relation V-IV": (12, 1_050),
+        "eps VI-V": (4, 400), "eps V-IV": (3, 450), "eps V-III": (3, 300),
+        "eps IV-II": (2, 350), "eps III-II": (2, 450),
+    }
     for key, (n_ids, budget) in budgets.items():
         ids, calls, outcomes = counts[key]
         assert ids == n_ids and outcomes == ["pass"], (key, counts[key])
