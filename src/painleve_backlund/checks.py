@@ -68,18 +68,18 @@ def arrow_check_ids(arr: dg.DegenerationArrow, what: str = "all") -> list[str]:
 # ----------------------------------------------------------------------
 # runner
 
-def run_check(check_id: str, order: int | None = None) -> CheckRecord:
+def run_check(check_id: str) -> CheckRecord:
     """Execute one catalog check and return its report record.
 
-    order sets the eps truncation of a degeneration arrow (None keeps
-    the arrow's default); group checks ignore it.
+    A degeneration id runs on its arrow as declared, at the arrow's own
+    truncation order.
     """
     parts = check_id.split("/")
     try:
         if parts[0] == "groups":
             return _run_group_check(check_id, parts)
         if parts[0] == "degen":
-            return _run_degen_check(check_id, parts, order)
+            return _run_degen_check(check_id, parts)
     except Exception as exc:  # an error record; the rest of the report still runs
         import traceback
 
@@ -163,12 +163,12 @@ def _run_group_check(check_id: str, parts: list[str]) -> CheckRecord:
     raise ValueError(f"bad group check {check_id}")
 
 
-def _run_degen_check(check_id: str, parts: list[str], order: int | None) -> CheckRecord:
+def _run_degen_check(check_id: str, parts: list[str]) -> CheckRecord:
     from . import degeneration as dg
     from .series import DivergesAtZero
 
     src, tgt = parts[1].split("-")
-    arr = dg.arrow(src, tgt, order=order)
+    arr = dg.arrow(src, tgt)
     kind = parts[2]
     if kind == "data":
         label, ok = dg.verify_arrow_datum(arr, int(parts[3]))

@@ -80,25 +80,15 @@ def cmd_degenerate(args) -> int:
     from . import degeneration as dg
 
     try:
-        power = dg.arrow_data(args.source, args.target)["eps_power"]
+        arr = dg.arrow(args.source, args.target)
     except dg.UnsupportedArrow as exc:
         return _input_error(str(exc))
-    if args.order is not None and args.order <= power:
-        # at orders <= 1 the lifted series run out of known terms: factor/*
-        # divide by a series with no known lead, and IV->II and III->II
-        # limit/S*/T lose order 0; every arrow's eps power bounds those orders
-        return _input_error(
-            f"--order {args.order} is not above the eps power {power}"
-            f" of {args.source}->{args.target}; its branch checks need order"
-            f" {power + 1}"
-        )
-    arr = dg.arrow(args.source, args.target, order=args.order)
     report = _new_report({
         "arrow": arr.name, "what": args.what, "order": arr.trunc,
         "jobs": args.jobs, "seed": args.seed,
     })
     for check_id in ck.arrow_check_ids(arr, args.what):
-        report.add(ck.run_check(check_id, args.order))
+        report.add(ck.run_check(check_id))
     return _emit(report, args.format)
 
 
@@ -234,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="target system label, e.g. V")
     p.add_argument("--what", default="all",
                    choices=("params", "limits", "hamiltonian", "relations", "all"))
-    p.add_argument("--order", type=int, default=None,
-                   help="override the eps truncation order")
     common(p)
     p.set_defaults(func=cmd_degenerate)
 

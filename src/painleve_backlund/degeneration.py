@@ -6,11 +6,11 @@ the forward variable maps (t, q, p) -> (A, eps, T, Q, P), the inverse maps
 the declared branches S_i(eps), and the Hamiltonian/derivation rescale.
 Inverse maps were derived by solving the forward maps and are pinned by
 round-trip checks.  An arrow is parsed from its data on first use, once per
-truncation order, so a command builds only the arrow it checks.  Each
-declared branch is read there once, into the two forms the checks use: its
-eps-series (the lifted variable actions) and its exact k-th power in
-u = eps^k with its lead coefficient (the eps ids and the eps part of the
-relation checks, both exact).
+process and at the truncation order its data declares, so a command builds
+only the arrow it checks.  Each declared branch is read there once, into the
+two forms the checks use: its eps-series (the lifted variable actions) and
+its exact k-th power in u = eps^k with its lead coefficient (the eps ids and
+the eps part of the relation checks, both exact).
 
 Lifted actions are computed by conjugation, never transcribed: express the
 target symbol in source coordinates, act by the word exactly in W_J, push
@@ -33,7 +33,7 @@ from .poly import Poly
 from .ratfn import RatFn, ratfn_equal
 from .series import EpsSeries, binomial_series, ratfn_at_series, ratfn_limit_eps0, rational_pair
 from .symbols import A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, sym, t_, tau, var_key
-from .systems import poisson_bracket, system
+from .systems import _constraint_binding, poisson_bracket, system
 
 class UnsupportedArrow(ValueError):
     """A degeneration square outside the five supported arrows."""
@@ -44,8 +44,8 @@ class BranchDataError(ValueError):
 
 
 class DegenerationArrow:
-    """One arrow at one truncation order, hashed by identity: the caches keyed
-    on an arrow rely on there being one object per (arrow, order)."""
+    """One arrow at its declared truncation order, hashed by identity: the
+    caches keyed on an arrow rely on there being one object per arrow."""
 
     source: str
     target: str
@@ -172,7 +172,7 @@ class LiftedGenerator:
 # ----------------------------------------------------------------------
 # arrow data
 
-# Each arrow as written, with its default truncation order.  An eps_action
+# Each arrow as written, with its truncation order.  An eps_action
 # entry is the declared branch of S_i(eps): a rational image of eps, or
 # (inner, power) for the branch eps * (1 + inner)^power.
 _ARROW_DATA = {
@@ -373,9 +373,10 @@ ARROW_KEYS = tuple(_ARROW_DATA)
 
 
 @cache
-def _build_arrow(key: tuple[str, str], trunc: int) -> DegenerationArrow:
-    """One arrow at one truncation order, parsed from its data on first use."""
+def _build_arrow(key: tuple[str, str]) -> DegenerationArrow:
+    """One arrow at its declared truncation order, parsed on first use."""
     data = _ARROW_DATA[key]
+    trunc = data["trunc"]
 
     def smap(names_exprs: dict[str, str]) -> dict[Symbol, RatFn]:
         return {sym(k): parse_expr(v) for k, v in names_exprs.items()}
@@ -442,10 +443,10 @@ def arrow_data(source: str, target: str) -> dict:
     raise UnsupportedArrow(f"no degeneration arrow {source} -> {target}")
 
 
-def arrow(source: str, target: str, order: int | None = None) -> DegenerationArrow:
-    """The arrow at truncation order (None: its default), built once per order."""
-    default = arrow_data(source, target)["trunc"]
-    return _build_arrow((source, target), default if order is None else order)
+def arrow(source: str, target: str) -> DegenerationArrow:
+    """The arrow source -> target, built once per process."""
+    arrow_data(source, target)  # raises UnsupportedArrow for any other pair
+    return _build_arrow((source, target))
 
 
 def arrows() -> list[DegenerationArrow]:
@@ -619,11 +620,8 @@ def target_table_action(arr: DegenerationArrow, name: str, X: Symbol) -> RatFn:
 
 def target_constraint_reduce(arr: DegenerationArrow, f: RatFn) -> RatFn:
     """Eliminate A0 using the target system's normalization."""
-    coeffs = system(arr.target).constraint_coeffs
-    rest = RatFn.const(1)
-    for c, s in zip(coeffs[1:], A[1:]):
-        rest = rest - RatFn.variable(s) * RatFn.const(c)
-    return f.substitute({A[0]: rest})
+    rest = _constraint_binding(arr.target)[alpha[0]]
+    return f.substitute({A[0]: _relabel_to_target(rest, len(system(arr.target).params))})
 
 
 @cache

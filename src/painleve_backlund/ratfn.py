@@ -141,12 +141,8 @@ class RatFn:
     # ------------------------------------------------------------------
     # equality
 
-    def equals(self, other: "RatFn") -> bool:
-        """Semantic equality: num*other.den - other.num*den expands to zero."""
-        return ratfn_equal(self, other)
-
     def __eq__(self, other) -> bool:
-        # Structural equality of canonical forms.  Use .equals() for the
+        # Structural equality of canonical forms.  Use ratfn_equal for the
         # semantic test; structural equality implies semantic equality.
         if not isinstance(other, RatFn):
             return NotImplemented

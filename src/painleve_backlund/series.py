@@ -19,7 +19,7 @@ from math import gcd
 
 from .exprio import print_expr, print_series
 from .poly import Poly
-from .ratfn import RatFn
+from .ratfn import RatFn, ratfn_equal
 from .symbols import MASK, SHIFTS, Symbol, eps as EPS
 
 FLOOR = -12
@@ -256,7 +256,7 @@ def series_equal(s: EpsSeries, t: EpsSeries) -> bool:
     """Coefficientwise semantic equality up to the shared truncation order."""
     trunc = min(s.trunc, t.trunc)
     orders = {n for n in s.coeffs if n <= trunc} | {n for n in t.coeffs if n <= trunc}
-    return all(s.coeff(n).equals(t.coeff(n)) for n in orders)
+    return all(ratfn_equal(s.coeff(n), t.coeff(n)) for n in orders)
 
 
 def rational_pair(c) -> tuple[int, int]:

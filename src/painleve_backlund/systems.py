@@ -135,11 +135,11 @@ def _constraint_binding(label: str) -> dict[Symbol, RatFn]:
     """{alpha0: 1 - (rest of the weighted sum)}, or {} for a system without
     parameters.  Shared by every caller: read it, never mutate it."""
     sys = system(label)
-    rest = RatFn.const(1)
-    for c, s in zip(sys.constraint_coeffs[1:], sys.params[1:]):
-        rest = rest - RatFn.variable(s) * RatFn.const(c)
+    if not sys.params:
+        return {}
     # Leading constraint coefficient is 1 for every system.
-    return {sys.params[0]: rest} if sys.params else {}
+    a0 = RatFn.variable(sys.params[0])
+    return {sys.params[0]: a0 + RatFn.const(1) - sys.constraint_expr()}
 
 
 def reduce_constraint(label: str, f: RatFn) -> RatFn:

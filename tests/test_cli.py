@@ -155,33 +155,12 @@ def test_jobs_below_one_is_refused(capsys):
     assert_input_error(capsys, "degenerate", "V", "III", "--jobs", "-1")
 
 
-def test_order_below_eps_power_is_refused(capsys):
-    # at orders <= 1 the IV -> II limit/S*/T ids run out of known terms, and
-    # the guard refuses every order up to the eps power
-    assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
-                       "--order", "-20", "--jobs", "1")
-    assert_input_error(capsys, "degenerate", "IV", "II", "--what", "params",
-                       "--order", "5", "--jobs", "1")
-    # the bound is the eps power on the birational arrows too
-    assert_input_error(capsys, "degenerate", "VI", "V", "--order", "1")
-
-
-def test_order_reaches_the_checks(capsys, monkeypatch):
-    from painleve_backlund import degeneration as dg
-
-    truncs = []
-    original = dg.lift_generator
-
-    def spy(arr, name):
-        truncs.append(arr.trunc)
-        return original(arr, name)
-
-    monkeypatch.setattr(dg, "lift_generator", spy)
-    code, out = run_cli(capsys, "degenerate", "V", "III", "--what", "params",
-                        "--order", "10", "--jobs", "1")
-    assert code == 0
-    assert "order=10" in out
-    assert truncs and set(truncs) == {10}
+def test_degenerate_has_no_order_option(capsys):
+    # every arrow runs at the truncation order its data declares
+    with pytest.raises(SystemExit) as exc:
+        main(["degenerate", "VI", "V", "--order", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 10" in capsys.readouterr().err
 
 
 def test_nonpositive_step_is_refused(capsys):
@@ -323,7 +302,7 @@ def test_every_process_freezes_its_objects_once_at_exit(argv, code):
     assert all(doc["summary"]["total"] == len(doc["checks"]) for doc in reports)
 
 
-# sha256 of the stdout of each symbolic JSON report at the default order, and
+# sha256 of the stdout of each symbolic JSON report, and
 # its exit code.  A change that alters printed text updates these digests and
 # says why.
 REPORT_DIGESTS = {

@@ -137,10 +137,6 @@ def test_truncation_orders():
         ("VI", "V"): 8, ("V", "IV"): 12, ("V", "III"): 8,
         ("IV", "II"): 12, ("III", "II"): 12,
     }
-    assert arrow("VI", "V", order=10).trunc == 10
-    # one build per (arrow, order): the default order names the default arrow
-    assert arrow("VI", "V", order=8) is arrow("VI", "V")
-    assert arrow("VI", "V", order=10) is arrow("VI", "V", order=10)
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +502,7 @@ def fresh_arrow(monkeypatch, key, **branches):
     data = DECLARED[key]
     branches = {**data["eps_action"], **branches}
     monkeypatch.setitem(_ARROW_DATA, key, dict(data, eps_action=branches))
-    return _build_arrow.__wrapped__(key, data["trunc"])
+    return _build_arrow.__wrapped__(key)
 
 
 def test_each_letters_exact_branch_data_is_built_once(monkeypatch):
@@ -565,7 +561,7 @@ def test_branch_data_is_validated_when_the_arrow_is_built(monkeypatch):
     data = DECLARED[("VI", "V")]
     inverse = {**data["param_inverse"], "A1": "alpha4*alpha0"}
     monkeypatch.setitem(_ARROW_DATA, ("VI", "V"), dict(data, param_inverse=inverse))
-    a = _build_arrow.__wrapped__(("VI", "V"), data["trunc"])
+    a = _build_arrow.__wrapped__(("VI", "V"))
     with pytest.raises(BranchDataError, match=r"VI->V S0: the lifted parameter actions"):
         verify_subgroup_relation(a, "s0^2", "b")
     # a k-th power that is not rational in eps^k is refused when the arrow is built
@@ -578,7 +574,7 @@ def test_an_arrow_keeps_the_branches_it_was_built_from(monkeypatch):
     # the table holds when it first runs
     patched = fresh_arrow(monkeypatch, ("V", "IV"), S0=("2*A0*eps^2", "1/2"))
     monkeypatch.setitem(_ARROW_DATA, ("V", "IV"), DECLARED[("V", "IV")])
-    declared = _build_arrow.__wrapped__(("V", "IV"), patched.trunc)
+    declared = _build_arrow.__wrapped__(("V", "IV"))
     assert not verify_subgroup_relation(patched, "s0^2", "b")
     assert verify_subgroup_relation(declared, "s0^2", "b")
 
@@ -593,11 +589,7 @@ def test_eps_ids_compare_the_branch_exactly(monkeypatch):
 
 
 def test_limit_below_the_known_terms_is_refused():
-    # at order 1 the IV -> II lift of S0 on T keeps no term at order 0
-    lifted = lift_generator(arrow("IV", "II", order=1), "S0")
-    assert lifted.action_series(T_, 0).trunc < 0
-    with pytest.raises(ValueError, match="unknown at truncation"):
-        lifted.action_limit(T_)
+    # a series known only below order 0 has no limit to read
     with pytest.raises(ValueError, match="unknown at truncation -1"):
         EpsSeries({}, -1).limit_eps0()
     # a negative order that is known still diverges
@@ -697,6 +689,9 @@ for J, K in (("VI", "V"), ("V", "III"), ("V", "IV")):
     counts[f"relation {J}-{K}"] = run(J, K, "relation", False)
 for J, K in dg.ARROW_KEYS:
     counts[f"eps {J}-{K}"] = run(J, K, "eps", True)
+for kind in ("param", "limit"):
+    for J, K in dg.ARROW_KEYS:
+        counts[f"{kind} {J}-{K}"] = run(J, K, kind, False)
 print(json.dumps(counts))
 """
 
@@ -710,7 +705,10 @@ def test_relation_checks_stay_within_their_work_budget():
     # The eps/* ids are counted with the arrow's build, which also builds
     # the exact branch pairs they compare: 328, 360, 238, 299 and 358
     # products, against 486, 661, 370, 399 and 830 when they compared
-    # S(eps)^k with the word's image as series truncated at order T.
+    # S(eps)^k with the word's image as series truncated at order T.  The
+    # param/* and limit/* ids run after those, without the arrow's build:
+    # 844, 271, 136, 284 and 491 products for param, and 870, 870, 154, 791
+    # and 754 for limit, in ARROW_KEYS order.
     src = Path(painleve_backlund.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", RELATION_WORK_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -722,6 +720,10 @@ def test_relation_checks_stay_within_their_work_budget():
         "relation V-IV": (12, 1_050),
         "eps VI-V": (4, 400), "eps V-IV": (3, 450), "eps V-III": (3, 300),
         "eps IV-II": (2, 350), "eps III-II": (2, 450),
+        "param VI-V": (16, 925), "param V-IV": (9, 295), "param V-III": (9, 145),
+        "param IV-II": (4, 310), "param III-II": (4, 540),
+        "limit VI-V": (12, 955), "limit V-IV": (9, 955), "limit V-III": (9, 165),
+        "limit IV-II": (6, 870), "limit III-II": (6, 825),
     }
     for key, (n_ids, budget) in budgets.items():
         ids, calls, outcomes = counts[key]
@@ -780,7 +782,7 @@ def spy(arr, word, name="", **kwargs):
     return lift_word(arr, word, name, **kwargs)
 
 dg.lift_word = spy
-for argv in (["IV", "II"], ["V", "III"], ["V", "III", "--order", "10"]):
+for argv in (["IV", "II"], ["V", "III"]):
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["degenerate", *argv, "--what", "all"])
 caches = {
@@ -794,23 +796,22 @@ print(json.dumps([lifts, caches]))
 
 def test_per_arrow_data_is_built_once_per_process():
     # Every check id asks its arrow again for the lifts, the arrow-data items
-    # and the Hamiltonian expansion; each is built once per (arrow, order).
+    # and the Hamiltonian expansion; each is built once per arrow.
     src = Path(painleve_backlund.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", BUILDS_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lifts, caches = json.loads(proc.stdout.splitlines()[-1])
-    # IV -> II lifts S0, S1; V -> III lifts S0, S1, S2 at each order
+    # IV -> II lifts S0, S1; V -> III lifts S0, S1, S2
     assert sorted(lifts) == [
-        "IV->II@12 S0", "IV->II@12 S1", "V->III@10 S0", "V->III@10 S1", "V->III@10 S2",
-        "V->III@8 S0", "V->III@8 S1", "V->III@8 S2",
+        "IV->II@12 S0", "IV->II@12 S1", "V->III@8 S0", "V->III@8 S1", "V->III@8 S2",
     ]
     assert set(lifts.values()) == {1}
     assert caches["lift_generator"][0] == len(lifts)
     for name in ("_arrow_data_items", "degenerate_hamiltonian", "degenerate_hamiltonian_exact"):
         misses, hits = caches[name]
-        assert misses == 3 and hits > 0, (name, misses, hits)
+        assert misses == 2 and hits > 0, (name, misses, hits)
 
 
 PRODUCTS_SCRIPT = """

@@ -66,9 +66,9 @@ import painleve_backlund as pb
 from painleve_backlund import degeneration as dg
 state["missing"] = [name for name in pb.__all__ if not hasattr(pb, name)]
 rc = run("degenerate", "IV", "II", "--what", "all")
-state["IV-II"] = [rc, held(dg._build_arrow, (("IV", "II"), 12))]
-rc = run("degenerate", "V", "III", "--what", "params", "--order", "10")
-state["V-III@10"] = [rc, held(dg._build_arrow, (("IV", "II"), 12), (("V", "III"), 10))]
+state["IV-II"] = [rc, held(dg._build_arrow, (("IV", "II"),))]
+rc = run("degenerate", "V", "III", "--what", "params")
+state["V-III"] = [rc, held(dg._build_arrow, (("IV", "II"),), (("V", "III"),))]
 rc = run("numeric", "degeneration", "--arrow", "IV", "II")
 # binomials, printing and series evaluation run on integer pairs
 state["fraction-free"] = [rc, loaded(("fractions", "decimal"))]
@@ -94,10 +94,10 @@ def test_start_up_loads_only_what_the_command_runs():
         # verify-groups loads no degeneration code, and builds no Fraction
         "verify-groups": [0, []],
         "missing": [],
-        # degenerate builds its one arrow, at its default truncation 12 ...
+        # degenerate builds its one arrow, at its declared truncation 12 ...
         "IV-II": [0, [1, True]],
-        # ... or only at the --order given
-        "V-III@10": [0, [2, True]],
+        # ... and the next command adds only its own
+        "V-III": [0, [2, True]],
         # neither degenerate nor numeric degeneration loads fractions
         "fraction-free": [0, []],
         "workers": [],
