@@ -199,28 +199,30 @@ def _letter_images(label: str, name: str) -> "ImageTable":
     return ImageTable(_require_group(label)[name].action)
 
 
+def _acts_as(label: str, left: Word, right: Word) -> bool:
+    """The two words agree on every field generator."""
+    return all(
+        ratfn_equal(_word_on_symbol(label, left, s), _word_on_symbol(label, right, s))
+        for s in field_symbols(label)
+    )
+
+
 def verify_relation(label: str, word: Word) -> bool:
     """Check that the word acts as the identity on every field generator.
 
     A field automorphism fixing all generators is the identity, so checking
-    the generators suffices.  For long words the two halves are compared
-    instead (u v = e iff u = reversed(v) for involution letters), which
-    halves the depth of the substitution towers.
+    the generators suffices.  A word u v of length >= 6 is decided by
+    comparing u with reversed(v) instead, which halves the depth of the
+    substitution towers; that is sound only when every letter of v is an
+    involution (then reversed(v) = v^-1), so it is used after s s is shown
+    to act as the identity for each distinct letter s of v, and otherwise
+    the whole word is compared with the identity.
     """
     word = tuple(word)
-    if len(word) >= 6:
-        k = len(word) // 2
-        left, right = word[:k], tuple(reversed(word[k:]))
-        return all(
-            ratfn_equal(
-                _word_on_symbol(label, left, s), _word_on_symbol(label, right, s)
-            )
-            for s in field_symbols(label)
-        )
-    return all(
-        ratfn_equal(_word_on_symbol(label, word, s), RatFn.variable(s))
-        for s in field_symbols(label)
-    )
+    k = len(word) // 2
+    if len(word) >= 6 and all(_acts_as(label, (s, s), ()) for s in dict.fromkeys(word[k:])):
+        return _acts_as(label, word[:k], tuple(reversed(word[k:])))
+    return _acts_as(label, word, ())
 
 
 def fundamental_relations(label: str) -> list[tuple[str, Word]]:

@@ -8,13 +8,15 @@ where w is the system's time weight, so windows must exclude the zeros of w
 (t = 0 for V and III, t in {0, 1} for VI).  Everything is plain double
 arithmetic; expressions are compiled once per run by folding the parameter
 values into float coefficient tables, and the tables become generated
-straight-line code: one function per flow, returning (dq/w, dp/w) with all
-eps orders of a degenerate flow inlined, and one per Backlund map, returning
-(t', q', p').  Denominators that fold to constants are decided when the code
-is generated.  The generated code performs the same IEEE operations in the
+straight-line code: one function per flow, returning (dq/w, dp/w), and one
+per Backlund map, returning (t', q', p').  Every component is one exact
+RatFn compiled to one (numerator, denominator) table pair; for a degenerate
+flow that RatFn is the flow of the truncated H_{J->K}, summed exactly over
+its eps orders in lowest terms, with eps folded in like a parameter.
+Denominators that fold to constants are decided when the code is
+generated.  The generated code performs the same IEEE operations in the
 same order as summing the tables term by term, so every value is
-bit-identical to that loop; a flow component compiles on its own only when
-it is called directly.
+bit-identical to that loop.
 
 `degeneration` is imported only when a degenerate flow is compiled, so
 `numeric backlund` loads neither it nor `series`; the annotations naming
@@ -27,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .ratfn import RatFn
-from .symbols import MASK, SHIFTS, A, P_, Q_, Symbol, T_, alpha, p_, q_, t_
+from .symbols import MASK, SHIFTS, A, P_, Q_, Symbol, T_, alpha, eps, p_, q_, t_
 from .systems import system
 
 POLE_GUARD = 1e-12
@@ -94,22 +96,6 @@ def _compile_poly(poly, fold: dict[Symbol, float], variables=(t_, q_, p_)):
     return list(terms.items())
 
 
-class _Component:
-    """One generated output over (t, q, p): the quotient n/d of two float
-    term tables, or 0 + s_0*(n_0/d_0) + s_1*(n_1/d_1) + ... when `scales`
-    is given, negated when `negate` is set.  It carries its tables for
-    _generate to fuse, and compiles on its own only when called directly."""
-
-    __slots__ = ("quotients", "scales", "negate", "_fn")
-
-    def __init__(self, quotients, scales=None, negate=False):
-        self.quotients, self.scales, self.negate, self._fn = quotients, scales, negate, None
-
-    def __call__(self, t, q, p):
-        self._fn = self._fn or _generate([self])
-        return self._fn(t, q, p)
-
-
 def _constant(table):
     """The value 0.0 + c of the table [((0, 0, 0), c)], else None."""
     return 0.0 + table[0][1] if len(table) == 1 and table[0][0] == (0, 0, 0) else None
@@ -118,18 +104,20 @@ def _constant(table):
 def _generate(components, weight=None):
     """Emit one straight-line function (t, q, p) -> value, or -> tuple of
     values for several components, each divided by the `weight` component.
+    A component is the (numerator, denominator) pair of float term tables
+    that _compile_ratfn returns.
 
     Components are emitted in order, the weight first: each power of
     exponent >= 2 is computed once, before the first component using it,
-    then the component's denominators are tested in table order, so the
-    first NearPole raised (a power's OverflowError, a denominator of
-    magnitude at most POLE_GUARD, a vanishing weight) is the one separate
-    evaluators called in turn would raise.  Sums run left to right from 0.0
+    then the component's denominator is tested, so the first NearPole
+    raised (a power's OverflowError, a denominator of magnitude at most
+    POLE_GUARD, a vanishing weight) is the one separate evaluators called
+    in turn would raise.  Sums run left to right from 0.0
     in table order over terms c*t**et*q**eq*p**ep, dropping **0 and **1, so
     every value is bit-identical to the term-by-term loop.  Constant
     denominators are folded: 1.0 drops its division and test, any other has
     its test decided; a weight of constant 1 drops its division.
-    Coefficients and scales live in the globals, never in the source.
+    Coefficients live in the globals, never in the source.
     """
     env = {"NearPole": NearPole, "POLE_GUARD": POLE_GUARD}
     pole = "raise NearPole('denominator magnitude below 1e-12', (t, q, p))"
@@ -148,8 +136,9 @@ def _generate(components, weight=None):
         return " + ".join(parts)
 
     def emit(k, comp) -> None:
+        num, den = comp
         powers = sorted({
-            (i, e) for pair in comp.quotients for table in pair for mono, _ in table
+            (i, e) for table in comp for mono, _ in table
             for i, e in enumerate(mono) if e >= 2} - done)
         done.update(powers)
         if powers:
@@ -159,26 +148,18 @@ def _generate(components, weight=None):
                 "    except OverflowError:",
                 "        raise NearPole('value overflow during evaluation', (t, q, p)) from None",
             ])
-        quots = []
-        for j, (num, den) in enumerate(comp.quotients):
-            name, value = f"d{k}_{j}", _constant(den)
-            if value is None:
-                lines.extend([f"    {name} = {total(den)}",
-                              f"    if abs({name}) <= POLE_GUARD:", f"        {pole}"])
-            elif value != 1.0:
-                env[name] = value
-                if abs(value) <= POLE_GUARD:
-                    lines.append(f"    {pole}")
-            quots.append(f"({total(num)})" + (f" / {name}" if value != 1.0 else ""))
-        if comp.scales is not None:
-            env.update({f"s{k}_{j}": s for j, s in enumerate(comp.scales)})
-            summed = " + ".join(["0"] + [f"s{k}_{j}*({q})" for j, q in enumerate(quots)])
-            quots = [f"-({summed})" if comp.negate else summed]
-        lines.append(f"    v{k} = {quots[0]}")
+        name, value = f"d{k}", _constant(den)
+        if value is None:
+            lines.extend([f"    {name} = {total(den)}",
+                          f"    if abs({name}) <= POLE_GUARD:", f"        {pole}"])
+        elif value != 1.0:
+            env[name] = value
+            if abs(value) <= POLE_GUARD:
+                lines.append(f"    {pole}")
+        lines.append(f"    v{k} = ({total(num)})" + (f" / {name}" if value != 1.0 else ""))
 
     divide = ""
-    if weight is not None and [
-            (_constant(n), _constant(d)) for n, d in weight.quotients] != [(1.0, 1.0)]:
+    if weight is not None and tuple(map(_constant, weight)) != (1.0, 1.0):
         emit("w", weight)
         lines += ["    if abs(vw) <= POLE_GUARD:",
                   "        raise NearPole('time weight vanishes', (t, q, p))"]
@@ -190,8 +171,9 @@ def _generate(components, weight=None):
     return env["evaluate"]
 
 
-def _compile_ratfn(f: RatFn, fold: dict[Symbol, float]) -> _Component:
-    return _Component([(_compile_poly(f.num, fold), _compile_poly(f.den, fold))])
+def _compile_ratfn(f: RatFn, fold: dict[Symbol, float], variables=(t_, q_, p_)):
+    """The (numerator, denominator) term tables of f, for _generate."""
+    return _compile_poly(f.num, fold, variables), _compile_poly(f.den, fold, variables)
 
 
 def _flow_functions(label: str, params: dict[Symbol, float]):
@@ -208,7 +190,7 @@ def _rk4(dq, dp, weight, t0, q0, p0, t1, h):
 
     The field (t, q, p) -> (dq/w, dp/w) is one generated function built from
     the term tables of the three components, so each stage makes one call;
-    its values are bit-identical to calling the three components in turn.
+    its values are bit-identical to evaluating the three components in turn.
     State updates use Kahan compensation and stage times come from the step
     index, keeping the roundoff floor well below the truncation error so the
     h^4 order is visible down to small steps.
@@ -318,34 +300,37 @@ def backlund_numeric_check(
 # ----------------------------------------------------------------------
 # degeneration flows
 
-def _compile_series_flow(arr: DegenerationArrow, eps_value: float, params: dict[Symbol, float]):
-    """Compile the flow of the truncated degenerate Hamiltonian at numeric eps.
+def _series_flow(arr: DegenerationArrow) -> tuple[RatFn, RatFn]:
+    """The exact flow (dH/dP, -dH/dQ) of the truncated H_{J->K}.
 
-    Partial derivatives are taken per coefficient before folding, so the
-    flow-trivial divergent gauge terms never get evaluated.  Each flow
-    component is one generated function over every eps order, reading the
-    (T, Q, P) exponents of the coefficients as (t, q, p).
+    The expansion leaves coefficient k over w0^(k+1); exact division first
+    cancels every power of the lowest-order denominator w0 that divides it.
+    The nonzero partials, times eps^k, are then summed exactly; the
+    flow-trivial gauge terms have none.
     """
     from .degeneration import degenerate_hamiltonian
 
     series = degenerate_hamiltonian(arr)
+    base = series.coeffs[min(series.coeffs)].den
+    flows = [RatFn.const(0), RatFn.const(0)]
+    for k, c in series.coeffs.items():
+        num, den = c.num, c.den
+        while (not base.is_const() and (n := num.try_div(base)) is not None
+               and (m := den.try_div(base)) is not None):
+            num, den = n, m
+        c = RatFn(num, den)
+        for i, var in enumerate((P_, Q_)):
+            d = c.partial(var)
+            if not d.is_zero():
+                flows[i] = flows[i] + RatFn.variable(eps) ** k * d
+    return flows[0], -flows[1]  # {H, Q} = dH/dP, {H, P} = -dH/dQ
 
-    def compile_partial(var: Symbol, negate: bool):
-        scales, quotients = [], []
-        for order, coeff in series.coeffs.items():
-            d = coeff.partial(var)
-            if d.is_zero():
-                continue
-            scales.append(eps_value**order)
-            quotients.append((
-                _compile_poly(d.num, params, (T_, Q_, P_)),
-                _compile_poly(d.den, params, (T_, Q_, P_)),
-            ))
-        return _Component(quotients, scales, negate)
 
-    dq = compile_partial(P_, False)  # {H, Q} = dH/dP
-    dp = compile_partial(Q_, True)   # {H, P} = -dH/dQ
-    return dq, dp
+def _compile_series_flow(arr: DegenerationArrow, eps_value: float, params: dict[Symbol, float]):
+    """The table pairs of _series_flow, with eps folded in like a parameter
+    and the (T, Q, P) exponents read as (t, q, p)."""
+    fold = {**params, eps: eps_value}
+    return tuple(_compile_ratfn(f, fold, (T_, Q_, P_)) for f in _series_flow(arr))
 
 
 def degeneration_numeric_check(

@@ -89,6 +89,17 @@ def test_numeric_degeneration_cli(capsys):
     assert "max deviation" in out
 
 
+def test_numeric_degeneration_passes_next_to_the_sixth_to_fifth_pole(capsys):
+    # Q = 0.85 is 0.15 from the flow's only pole Q = 1: the check runs
+    code, out = run_cli(
+        capsys, "numeric", "degeneration", "--arrow", "VI", "V",
+        "--initial", "1.0,0.85,0.3", "--t1", "1.02", "--format", "json",
+    )
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["outcome"] == "pass", check
+
+
 def test_numeric_bad_generator(capsys):
     code = main(["numeric", "backlund", "--system", "II", "--gen", "s7"])
     assert code == 2
@@ -302,9 +313,11 @@ def test_every_process_freezes_its_objects_once_at_exit(argv, code):
     assert all(doc["summary"]["total"] == len(doc["checks"]) for doc in reports)
 
 
-# sha256 of the stdout of each symbolic JSON report, and
-# its exit code.  A change that alters printed text updates these digests and
-# says why.
+# sha256 of the stdout of each symbolic JSON report, and of each
+# `numeric degeneration` report at the CLI defaults, with its exit code.  A
+# change that alters printed text updates these digests and says why.
+# `numeric backlund` is left out: its deviations are roundoff-level, so a
+# digest would mostly pin the platform's libm.
 REPORT_DIGESTS = {
     ("verify-groups",): (0,
         "13a958cfc8f38e626cd8484c21bc2ebaab27b40c273f473605db89265af52cc3"),
@@ -318,6 +331,16 @@ REPORT_DIGESTS = {
         "875730dcdb3de754c6764720df7b3eccda2c2510e69d01c8a0034468e02a7225"),
     ("degenerate", "III", "II", "--what", "all"): (0,
         "2ceaaf5d66075fb5a8cf036b7fa7e39eef3b2378e1ce1c1b80a13c8c0ad3de00"),
+    ("numeric", "degeneration", "--arrow", "VI", "V"): (0,
+        "d0d0724836b53ad430e93b0ce5ae5ae7f41879e7621271e1dbef76740e106696"),
+    ("numeric", "degeneration", "--arrow", "V", "IV"): (0,
+        "8de20fb6491362506640b38771f57442c4e6b4369d341c2549d61fbbe9e6046f"),
+    ("numeric", "degeneration", "--arrow", "V", "III"): (0,
+        "56f94f8bbea0aa20d0344e6aadbb01fc82eb9cce40a005b9835f1583791f7026"),
+    ("numeric", "degeneration", "--arrow", "IV", "II"): (0,
+        "a792204fe95d4578a466aead91eb489b80593cf4635a46c4fb1dc758e7bd8b0c"),
+    ("numeric", "degeneration", "--arrow", "III", "II"): (1,
+        "90ed9053b7f4abf93c634882ad3956d2b601cad6f7f8d1e0f924b6254f1115dd"),
 }
 
 

@@ -657,7 +657,8 @@ def test_exact_side_b_matches_the_untruncated_composition(monkeypatch):
 
 RELATION_WORK_SCRIPT = """
 import json
-from painleve_backlund import checks, degeneration as dg, groups, systems
+import sys
+from painleve_backlund import checks, degeneration as dg, groups
 from painleve_backlund.poly import Poly
 
 mul = Poly.__mul__
@@ -668,12 +669,13 @@ def spy(a, b):
     return mul(a, b)
 
 def run(J, K, kind, count_build):
-    # empty caches and parsed group tables; the arrow's own build is
-    # counted only when count_build is set
-    for module in (groups, systems, dg):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    # empty caches in every loaded package module, and parsed group tables;
+    # the arrow's own build is counted only when count_build is set
+    for name, module in list(sys.modules.items()):
+        if name.startswith("painleve_backlund"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
     groups.generators(J), groups.generators(K)
     calls[0] = 0
     Poly.__mul__ = spy if count_build else mul
@@ -692,14 +694,16 @@ for J, K in dg.ARROW_KEYS:
 for kind in ("param", "limit"):
     for J, K in dg.ARROW_KEYS:
         counts[f"{kind} {J}-{K}"] = run(J, K, kind, False)
+for J, K in reversed(dg.ARROW_KEYS):
+    counts[f"reversed param {J}-{K}"] = run(J, K, "param", False)
 print(json.dumps(counts))
 """
 
 
 def test_relation_checks_stay_within_their_work_budget():
     # Poly products over every relation/* id of an arrow, from empty caches
-    # and parsed group tables: a deterministic work count (1,620, 964 and
-    # 999).  Composing side (b)'s eps-series to order T instead of the exact
+    # and parsed group tables: a deterministic work count (1,610, 968 and
+    # 997, with side (a)'s involution checks).  Composing side (b)'s eps-series to order T instead of the exact
     # branch data costs 3,806, 2,391 and 2,040 products; to order T+n+1,
     # with each coefficient substituted afresh, 6,819, 4,720 and 4,011.
     # The eps/* ids are counted with the arrow's build, which also builds
@@ -707,8 +711,10 @@ def test_relation_checks_stay_within_their_work_budget():
     # products, against 486, 661, 370, 399 and 830 when they compared
     # S(eps)^k with the word's image as series truncated at order T.  The
     # param/* and limit/* ids run after those, without the arrow's build:
-    # 844, 271, 136, 284 and 491 products for param, and 870, 870, 154, 791
-    # and 754 for limit, in ARROW_KEYS order.
+    # 865, 283, 137, 287 and 497 products for param, and 891, 882, 155, 818
+    # and 797 for limit, in ARROW_KEYS order.  Every run starts from empty
+    # caches in all package modules, so a count does not depend on the runs
+    # before it: param in reverse order counts the same.
     src = Path(painleve_backlund.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", RELATION_WORK_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -729,6 +735,8 @@ def test_relation_checks_stay_within_their_work_budget():
         ids, calls, outcomes = counts[key]
         assert ids == n_ids and outcomes == ["pass"], (key, counts[key])
         assert calls <= budget, (key, calls, budget)
+    for J, K in ARROW_KEYS:
+        assert counts[f"reversed param {J}-{K}"] == counts[f"param {J}-{K}"], (J, K)
 
 
 def test_transformed_system_factor():

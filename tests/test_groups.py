@@ -93,6 +93,33 @@ def test_full_relation_suites():
             assert verify_relation(label, word), (label, rel_label)
 
 
+def test_halves_shortcut_needs_involution_letters(monkeypatch):
+    # (s0 s1)^3 with s0 = s1: alpha0 -> alpha0 + 1 sends alpha0 to alpha0 + 6,
+    # yet its halves s0 s1 s0 and reversed(s1 s0 s1) act alike; the word is
+    # refused because s0 s0 is not the identity
+    from painleve_backlund import groups
+    from painleve_backlund.groups import _build_group, _word_on_symbol
+
+    def clear():
+        for memo in (_build_group, _letter_images, _word_on_symbol):
+            memo.cache_clear()
+
+    shift = {"alpha0": "alpha0 + 1"}
+    monkeypatch.setitem(groups._TABLES, "II", {"s0": shift, "s1": shift})
+    clear()
+    try:
+        word = ("s0", "s1") * 3
+        assert ratfn_equal(apply_word("II", word, P("alpha0")), P("alpha0 + 6"))
+        assert not verify_relation("II", word)
+    finally:
+        monkeypatch.undo()
+        clear()
+    relations = [(label, word) for label in GROUP_LABELS
+                 for _, word in fundamental_relations(label)]
+    assert len(relations) == 38
+    assert all(verify_relation(label, word) for label, word in relations)
+
+
 def test_relation_counts_match_group_presentations():
     counts = {label: len(fundamental_relations(label)) for label in GROUP_LABELS}
     # involutions + order-2 pairs + order-3 pairs + order-4 pairs

@@ -16,13 +16,14 @@ from painleve_backlund.numeric import (
     _flow_functions,
     _generate,
     _param_dict,
+    _series_flow,
     backlund_numeric_check,
     degeneration_numeric_check,
     eval_ratfn,
     integrate,
 )
-from painleve_backlund.ratfn import RatFn
-from painleve_backlund.symbols import A, P_, Q_, T_, alpha, p_, q_, t_
+from painleve_backlund.ratfn import RatFn, ratfn_equal
+from painleve_backlund.symbols import A, P_, Q_, T_, alpha, eps, p_, q_, t_
 from painleve_backlund.systems import hamiltonian, poisson_bracket, system
 
 from conftest import rand_poly, rng_for
@@ -248,10 +249,10 @@ def test_energy_rate_matches_time_partial_along_fourth_system():
 # generated evaluators against the term-by-term loop they replaced
 
 
-def term_loop(f, fold):
+def term_loop(f, fold, variables=(t_, q_, p_)):
     """Reference evaluator: the loop over the float term tables."""
-    num = _compile_poly(f.num, fold)
-    den = _compile_poly(f.den, fold)
+    num = _compile_poly(f.num, fold, variables)
+    den = _compile_poly(f.den, fold, variables)
 
     def evaluate(t, q, p):
         try:
@@ -289,7 +290,7 @@ def test_generated_evaluator_matches_term_loop(seed):
             rand_poly(rng, symbols, max_terms=3, max_degree=3, allow_zero=False,
                       sqrt2_prob=0.5),
         )
-        ours, ref = _compile_ratfn(f, fold), term_loop(f, fold)
+        ours, ref = _generate([_compile_ratfn(f, fold)]), term_loop(f, fold)
         points = [tuple(rng.uniform(-3, 3) for _ in range(3)) for _ in range(4)]
         points += [(0.0, -0.0, 0.0), (1.0, -1.0, 0.5), (1e120, 2.0, -1.0)]
         for point in points:
@@ -300,50 +301,53 @@ def test_generated_evaluator_matches_term_loop(seed):
 
 
 def test_generated_evaluator_near_pole():
-    tiny = _compile_ratfn(P("(t + q)/(q - 1)"), {})
+    tiny = _generate([_compile_ratfn(P("(t + q)/(q - 1)"), {})])
     with pytest.raises(NearPole, match="denominator"):
         tiny(0.5, 1.0 + 1e-13, 0.0)
     assert tiny(0.5, 2.0, 0.0) == 2.5
     for f, point in ((P("q^3*p"), (0.0, 1e200, 2.0)), (P("1/(1 + t*p^2)"), (1.0, 0.0, 1e300))):
         with pytest.raises(NearPole, match="overflow"):
-            _compile_ratfn(f, {})(*point)
+            _generate([_compile_ratfn(f, {})])(*point)
 
 
 @pytest.mark.parametrize("eps_value", [1e-2, 1e-3])
-def test_fused_series_flow_matches_per_table_sum(eps_value):
-    relabel = {T_: RatFn.variable(t_), Q_: RatFn.variable(q_), P_: RatFn.variable(p_)}
+def test_series_flow_is_the_truncated_flow_in_lowest_terms(eps_value):
+    # each component is Sum_k eps^k dH_k/dvar over the raw expansion, exactly,
+    # and compiles to the term loop of that one RatFn at the folded values
     for arr in arrows():
         params, (t0, q0, p0), t1 = DEGEN_NUMERIC_DEFAULTS[(arr.source, arr.target)]
-        fold = dict(zip(A, params))
         series = degenerate_hamiltonian(arr)
+        flows = _series_flow(arr)
+        for f, var, sign in zip(flows, (P_, Q_), (1, -1)):
+            expected = RatFn.const(0)
+            for k, coeff in series.coeffs.items():
+                expected = expected + RatFn.variable(eps) ** k * coeff.partial(var)
+            assert ratfn_equal(f, RatFn.const(sign) * expected), (arr.name, var)
+        fold = {**dict(zip(A, params)), eps: eps_value}
+        refs = [term_loop(f, fold, (T_, Q_, P_)) for f in flows]
+        comps = _compile_series_flow(arr, eps_value, dict(zip(A, params)))
+        for comp, ref in zip(comps, refs):
+            ours = _generate([comp])
+            for k in range(5):
+                t = t0 + k * (t1 - t0) / 4
+                for point in ((t, q0, p0), (t, q0 + 0.3 * k, p0 - 0.2 * k)):
+                    assert outcome(ours, point) == outcome(ref, point), (arr.name, point)
 
-        def per_table_sum(var):
-            # one evaluator per eps order, summed from int 0 as sum() does
-            tables = []
-            for order, coeff in series.coeffs.items():
-                d = coeff.partial(var)
-                if not d.is_zero():
-                    tables.append((eps_value**order, term_loop(d.substitute(relabel), fold)))
 
-            def evaluate(t, q, p):
-                total = 0
-                for scale, fn in tables:
-                    total = total + scale * fn(t, q, p)
-                return total
-
-            return evaluate
-
-        dq, dp = _compile_series_flow(arr, eps_value, fold)
-        ref_dq, dp_raw = per_table_sum(P_), per_table_sum(Q_)
-
-        def ref_dp(t, q, p):
-            return -dp_raw(t, q, p)
-
-        for k in range(5):
-            t = t0 + k * (t1 - t0) / 4
-            for point in ((t, q0, p0), (t, q0 + 0.3 * k, p0 - 0.2 * k)):
-                assert outcome(dq, point) == outcome(ref_dq, point), (arr.name, point)
-                assert outcome(dp, point) == outcome(ref_dp, point), (arr.name, point)
+def test_sixth_to_fifth_flow_raises_only_next_to_its_pole():
+    # Q - 1 is the only denominator atom: dH/dP sits over Q - 1 and dH/dQ
+    # over (Q - 1)^2, so the guard fires only for |Q - 1| <= 1e-6
+    arr = arrow("VI", "V")
+    dq, dp = _series_flow(arr)
+    assert ratfn_equal(RatFn(dq.den), P("Q - 1"))
+    assert ratfn_equal(RatFn(dp.den), P("(Q - 1)^2"))
+    params = DEGEN_NUMERIC_DEFAULTS[("VI", "V")][0]
+    field = _generate(_compile_series_flow(arr, 1e-3, dict(zip(A, params))))
+    for q in (0.8, 0.9, 1 - 2e-6, 1 + 2e-6, 1.1, 1.25):
+        assert all(map(math.isfinite, field(1.0, q, 0.3))), q
+    for q in (1 - 1e-7, 1.0, 1 + 1e-7):
+        with pytest.raises(NearPole, match="denominator"):
+            field(1.0, q, 0.3)
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +387,7 @@ def flow_points(t0, q0, p0, t1):
 
 def assert_fused_field_matches(dq, dp, weight, points, label, kinds):
     fused = _generate([dq, dp], weight)
-    ref = three_call_field(dq, dp, weight)
+    ref = three_call_field(*(_generate([comp]) for comp in (dq, dp, weight)))
     for point in points:
         got = outcome_at(fused, point)
         assert got == outcome_at(ref, point), (label, point)
@@ -424,7 +428,8 @@ def test_constant_denominators_are_folded_bit_for_bit():
     # raises on every call, after the powers and in component order
     fold = {alpha[1]: 0.25}
     texts = ("q^2*p - t", "(t + q^2)/3", "(t - p^2)/(4*alpha1 - 1)", "p/(alpha1 - 1)")
-    comps = [_compile_ratfn(P(text), fold) for text in texts]
+    tables = [_compile_ratfn(P(text), fold) for text in texts]
+    comps = [_generate([table]) for table in tables]
     points = [(0.5, -0.0, -0.0), (-1.5, 2.0, 3.0), (0.0, 1e200, 1.0), (0.0, 1.0, 1e200),
               (float("inf"), 1.0, 1.0), (float("nan"), 0.0, 1.0)]
     for text, comp in zip(texts, comps):
@@ -433,7 +438,7 @@ def test_constant_denominators_are_folded_bit_for_bit():
             assert outcome_at(comp, point) == outcome_at(ref, point), (text, point)
     assert outcome_at(comps[2], (1.0, 1.0, 1.0)).startswith("NearPole: denominator")
     assert outcome_at(comps[2], (1.0, 1.0, 1e200)).startswith("NearPole: value overflow")
-    fused = _generate(comps)
+    fused = _generate(tables)
     for point in points:
         assert outcome_at(fused, point) == outcome_at(
             lambda *x: tuple(c(*x) for c in comps), point), point
@@ -447,8 +452,9 @@ def test_fused_map_raises_where_the_three_maps_do():
                   (t0, 1.0, p0), (0.0, 0.0, 0.0), (t0, q0, 2 * q0**2 + t0),
                   (t0, 1e200, p0), (t0, q0, 1e200), (1e200, q0, p0)]
         for g in generators(label):
-            maps = [_compile_ratfn(g.acts_on(s), values) for s in (t_, q_, p_)]
-            fused = _generate(maps)
+            tables = [_compile_ratfn(g.acts_on(s), values) for s in (t_, q_, p_)]
+            maps = [_generate([table]) for table in tables]
+            fused = _generate(tables)
             for point in points:
                 got = outcome_at(fused, point)
                 assert got == outcome_at(
